@@ -63,11 +63,11 @@ class StructureTensor:
         t = np.asarray(self.table, dtype=complex)
         if t.ndim != 3 or len(set(t.shape)) != 1:
             raise ValueError(f"structure tensor needs shape (n, n, n), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("structure tensor has non-finite coefficients")
         if not np.allclose(t, np.swapaxes(t, 0, 1), atol=1e-12, rtol=0.0):
             raise ValueError("structure tensor must be symmetric in its first two indices")
         t = 0.5 * (t + np.swapaxes(t, 0, 1))
-        if not np.all(np.isfinite(t)):
-            raise ValueError("structure tensor has non-finite coefficients")
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -337,6 +337,38 @@ def is_nilpotent(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
 
 # ---------------------------------------------------------------------------
 # group and infinitesimal actions
+#
+# The table kernels below work on raw (n, n, n) arrays, symmetric in their
+# first two axes, and are the only implementations of the group action, the
+# moment table and the infinitesimal action.  Each is a few matmuls on
+# reshaped views, O(n^4) work; numpy runs the four-operand einsum form of
+# the group action as an O(n^6) loop nest.
+
+
+def _act_table(t: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """out[a, b, c] = sum t[i, j, k] h[i, a] h[j, b] g[c, k], as three mode products."""
+    n = t.shape[0]
+    out = (h.T @ t.reshape(n, n * n)).reshape(n, n, n)  # first slot
+    out = h.T @ out                                      # second slot, batched over the first
+    return (out.reshape(n * n, n) @ g.T).reshape(n, n, n)  # output slot
+
+
+def _moment_table(t: np.ndarray) -> np.ndarray:
+    """Hermitian M = -2 sum_i L_i^* L_i + sum_i L_i L_i^* of a symmetric table."""
+    n = t.shape[0]
+    rows = t.reshape(n, n * n)   # rows[a, (j, k)] = t[a, j, k] = t[j, a, k]
+    cols = t.reshape(n * n, n)   # cols[(i, j), a] = t[i, j, a]
+    m = -2.0 * (rows.conj() @ rows.T) + cols.T @ cols.conj()
+    return 0.5 * (m + m.conj().T)
+
+
+def _inf_act_table(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(A.t)[i, j, c] = sum_k a[c, k] t[i, j, k] - sum_l a[l, i] t[l, j, c] - sum_l a[l, j] t[i, l, c]."""
+    n = t.shape[0]
+    out = (t.reshape(n * n, n) @ a.T).reshape(n, n, n)
+    out -= (a.T @ t.reshape(n, n * n)).reshape(n, n, n)
+    out -= a.T @ t
+    return out
 
 
 def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
@@ -346,15 +378,7 @@ def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
     if g.shape != (n, n):
         raise ValueError(f"group element must be {n}x{n}, got {g.shape}")
     h = np.linalg.inv(g)  # raises LinAlgError on singular g
-    return StructureTensor(np.einsum("ijk,ia,jb,ck->abc", mu.table, h, h, g))
-
-
-def _inf_act_table(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("ijk,ck->ijc", t, a)
-        - np.einsum("ljc,li->ijc", t, a)
-        - np.einsum("ilc,lj->ijc", t, a)
-    )
+    return StructureTensor(_act_table(mu.table, h, g))
 
 
 def inf_act(a: np.ndarray, mu: StructureTensor) -> StructureTensor:
@@ -379,11 +403,11 @@ def direct_product(mu: StructureTensor, nu: StructureTensor) -> StructureTensor:
 
 
 def _soliton_scalar(mu: StructureTensor) -> float:
-    # c_mu = -||M||^2 / ||mu||^2; local import avoids an algebra <-> moment cycle
-    from .moment import moment_matrix
-
-    m = moment_matrix(mu)
-    return -float(np.sum(np.abs(m) ** 2)) / mu.norm_sq
+    """c_mu = -||M||^2 / ||mu||^2."""
+    n2 = mu.norm_sq
+    if n2 == 0.0:
+        raise ValueError("moment data is undefined for the zero tensor")
+    return -float(np.sum(np.abs(_moment_table(mu.table)) ** 2)) / n2
 
 
 def soliton_product(mu: StructureTensor, nu: StructureTensor) -> StructureTensor:
@@ -431,15 +455,13 @@ def soliton_unitalize(mu: StructureTensor, check_tol: float = 1e-9) -> Structure
     Verifies the block shape of the resulting moment matrix:
     diag(M_{sqrt(c) mu}, -(2n+1)).
     """
-    from .moment import moment_matrix
-
     n = mu.dim
     c = (2 * n + 1) / (-_soliton_scalar(mu))
     scaled = mu.scaled(math.sqrt(c))
     result = adjoin_unit(scaled)
-    block = moment_matrix(result)
+    block = _moment_table(result.table)
     expected = np.zeros((n + 1, n + 1), dtype=complex)
-    expected[:n, :n] = moment_matrix(scaled)
+    expected[:n, :n] = _moment_table(scaled.table)
     expected[n, n] = -(2 * n + 1)
     dev = float(np.max(np.abs(block - expected)))
     if dev > check_tol * max(1.0, float(np.max(np.abs(expected)))):
@@ -521,12 +543,16 @@ def is_decomposable(mu: StructureTensor, tol: float = 1e-7, tries: int = 8, seed
     cent = centroid(mu)
     if cent.shape[0] <= 1:
         return False
+    # Roundoff splits an eigenvalue with a k x k Jordan block into a ring of
+    # radius ~ eps^(1/k); linking at the widest such ring (k = n) keeps a
+    # defective eigenvalue in one cluster.
+    link_tol = max(1e-6, 2.0 * (n * np.finfo(float).eps) ** (1.0 / n))
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         coeffs = rng.normal(size=cent.shape[0])
         r = np.einsum("k,kij->ij", coeffs, cent)
         scale = max(1.0, float(np.max(np.abs(r))))
-        clusters = _cluster_points(np.linalg.eigvals(r), link_tol=1e-6 * scale)
+        clusters = _cluster_points(np.linalg.eigvals(r), link_tol=link_tol * scale)
         if len(clusters) < 2:
             continue
         clusters.sort(key=len)
@@ -573,20 +599,26 @@ def from_json_dict(data: dict) -> StructureTensor:
     try:
         dim = int(data["dim"])
         raw = data["products"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed tensor document: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed tensor document: {exc!r}") from exc
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
+    if not isinstance(raw, list):
+        raise ValueError(f"products must be a list, got {type(raw).__name__}")
     products: dict[tuple[int, int, int], complex] = {}
     for entry in raw:
-        i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
+        try:
+            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
+            value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"malformed product entry {entry!r}: {exc!r}") from exc
         if i > j:
             raise ValueError(f"product entry has i > j (i={i}, j={j}): only the i <= j triangle is stored")
         if not (1 <= i and j <= dim and 1 <= k <= dim):
             raise ValueError(f"product index out of range: (i={i}, j={j}, k={k}) for dim {dim}")
         if (i, j, k) in products:
             raise ValueError(f"duplicate product entry ({i}, {j}, {k})")
-        products[(i, j, k)] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        products[(i, j, k)] = value
     return StructureTensor.from_products(dim, products)
 
 

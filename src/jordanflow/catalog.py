@@ -33,6 +33,8 @@ from .algebra import (
     is_simple,
     power_dims,
     product_rank,
+    _inf_act_table,
+    _moment_table,
 )
 from .flow import FlowOptions, clean_limit, run_flow
 from .moment import SolitonType, soliton_check, soliton_type, type_from_beta
@@ -369,16 +371,13 @@ def _polish_family(kind: str) -> dict:
     near 1e-8 here because the energy differences drop below float64
     resolution first.
     """
-    from .algebra import _inf_act_table
-
     keys = sorted(_TRIG_PARAMS[kind])
     vec = np.array([_TRIG_PARAMS[kind][key] for key in keys])
 
     def resid(values: np.ndarray) -> np.ndarray:
         prods, _ = _trig_products(kind, dict(zip(keys, values)))
         t = StructureTensor.from_products(4, prods).table
-        m = -2 * np.einsum("iak,ibk->ab", t.conj(), t) + np.einsum("ika,ikb->ab", t, t.conj())
-        m = 0.5 * (m + m.conj().T)
+        m = _moment_table(t)
         n2 = float(np.sum(np.abs(t) ** 2))
         c = -float(np.sum(np.abs(m) ** 2)) / n2
         flat = _inf_act_table(m - c * np.eye(4), t).ravel()

@@ -146,7 +146,7 @@ def cmd_moment(args) -> int:
 
 def cmd_flow(args) -> int:
     mu = _load_input(args)
-    opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol, seed=args.seed)
+    opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol)
     trace = run_flow(mu, opts)
     if args.trace:
         trace.write_csv(args.trace)
@@ -192,7 +192,7 @@ def cmd_stratify(args) -> int:
         f"certificate gap  {_fmt(result.certificate_gap)}",
     ]
     if args.flow:
-        opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol, seed=args.seed)
+        opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol)
         stratum = stratum_of(mu, opts)
         payload["stratum"] = stratum.to_json_dict()
         lines.append(f"stratum (flow)   {stratum}")

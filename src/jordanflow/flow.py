@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StructureTensor, act, jordan_defect, _inf_act_table
+from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
 from .moment import MomentReport, SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
 
@@ -40,7 +40,6 @@ class FlowOptions:
     energy_plateau_tol: float = 1e-12
     plateau_window: int = PLATEAU_WINDOW
     renormalize: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.step0, self.grad_tol, self.energy_plateau_tol) <= 0:
@@ -70,26 +69,25 @@ class FlowTrace:
                 writer.writerow([step, repr(e), repr(g)])
 
 
-def _energy_grad_direction(t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Energy, gradient table, and the Hermitian direction A with grad = A . t.
+def _energy_direction(t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Energy and the Hermitian direction A with grad E = A . t.
 
     grad E = (4/||t||^2) (m . t - E t) = (4/||t||^2) ((m + E I) . t), so the
     negative gradient is tangent to the orbit and the flow can be discretized
     by group elements exp(-s A), never leaving the orbit.
     """
-    n2 = float(np.sum(np.abs(t) ** 2))
-    m = -2.0 * np.einsum("iak,ibk->ab", t.conj(), t) + np.einsum("ika,ikb->ab", t, t.conj())
-    m = 0.5 * (m + m.conj().T) / n2
-    e = float(np.sum(np.abs(m) ** 2))
-    direction = 4.0 / n2 * (m + e * np.eye(t.shape[0]))
-    return e, _inf_act_table(direction, t), direction
+    n2 = float(np.vdot(t, t).real)
+    m = _moment_table(t) / n2
+    e = float(np.vdot(m, m).real)
+    return e, 4.0 / n2 * (m + e * np.eye(t.shape[0]))
 
 
-def _orbit_step(t: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(direction)
-    flow_g = vecs @ np.diag(np.exp(-step * evals)) @ vecs.conj().T
-    flow_g_inv = vecs @ np.diag(np.exp(step * evals)) @ vecs.conj().T
-    moved = np.einsum("ijk,ia,jb,ck->abc", t, flow_g_inv, flow_g_inv, flow_g)
+def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float) -> np.ndarray:
+    """exp(-s A) . t from the eigendecomposition A = V diag(evals) V^*."""
+    vecs_h = vecs.conj().T
+    flow_g = (vecs * np.exp(-step * evals)) @ vecs_h
+    flow_g_inv = (vecs * np.exp(step * evals)) @ vecs_h
+    moved = _act_table(t, flow_g_inv, flow_g)
     return 0.5 * (moved + np.swapaxes(moved, 0, 1))  # keep float symmetry exact
 
 
@@ -119,9 +117,9 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             stacklevel=2,
         )
     t = mu.table / mu.norm if opts.renormalize else mu.table.copy()
-    e, grad, direction = _energy_grad_direction(t)
+    e, direction = _energy_direction(t)
     energies = [e]
-    grad_norms = [float(np.linalg.norm(grad))]
+    grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
     step = opts.step0
     plateau = 0
     steps_taken = 0
@@ -132,13 +130,14 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             stop_reason = "gradient"
             break
         accepted = False
-        spread = float(np.max(np.abs(np.linalg.eigvalsh(direction)))) or 1.0
+        evals, vecs = np.linalg.eigh(direction)  # shared by the cap and every backtrack
+        spread = float(np.max(np.abs(evals))) or 1.0
         step = min(step, MAX_LOG_STRETCH / spread)
         while step > STEP_FLOOR:
-            cand = _orbit_step(t, direction, step)
+            cand = _orbit_step(t, evals, vecs, step)
             if opts.renormalize:
                 cand = cand / np.linalg.norm(cand)
-            e2, grad2, direction2 = _energy_grad_direction(cand)
+            e2, direction2 = _energy_direction(cand)
             if e2 <= e - ARMIJO * step * gn * gn:
                 accepted = True
                 break
@@ -147,10 +146,10 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             stop_reason = "line_search_floor"
             break
         plateau = plateau + 1 if abs(e - e2) < opts.energy_plateau_tol else 0
-        t, e, grad, direction = cand, e2, grad2, direction2
+        t, e, direction = cand, e2, direction2
         steps_taken += 1
         energies.append(e)
-        grad_norms.append(float(np.linalg.norm(grad)))
+        grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
         step *= 1.1
         if plateau >= opts.plateau_window:
             stop_reason = "plateau"

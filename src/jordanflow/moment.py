@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import StructureTensor, derivation_algebra, _inf_act_table
+from .algebra import StructureTensor, derivation_algebra, _inf_act_table, _moment_table
 from .snap import (
     EIGENVALUE_GAP,
     MAX_DENOMINATOR,
@@ -44,11 +44,6 @@ __all__ = [
     "type_from_beta",
     "sl_residual",
 ]
-
-
-def _moment_table(t: np.ndarray) -> np.ndarray:
-    m = -2.0 * np.einsum("iak,ibk->ab", t.conj(), t) + np.einsum("ika,ikb->ab", t, t.conj())
-    return 0.5 * (m + m.conj().T)
 
 
 def _require_nonzero(mu: StructureTensor) -> float:

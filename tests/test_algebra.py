@@ -277,6 +277,15 @@ def test_centroid_and_decomposability():
     assert centroid(builtin("A_2_4").tensor).shape[0] == 2
 
 
+def test_decomposability_of_products_with_defective_centroid_spectra():
+    # the centroid of A_4_39 x A_3_10 has a 4-fold defective eigenvalue, which
+    # roundoff spreads by ~eps^(1/4); the split must still be found
+    assert is_decomposable(direct_product(builtin("A_4_39").tensor, builtin("A_3_10").tensor))
+    product = direct_product(builtin("A_4_38").tensor, builtin("A_4_43").tensor)
+    for seed in range(4):
+        assert is_decomposable(act(random_unitary(np.random.default_rng(seed), 8), product))
+
+
 def test_simplicity():
     assert is_simple(builtin("A_1_1").tensor)
     assert is_simple(builtin("A_3_2").tensor)
@@ -328,6 +337,23 @@ def test_json_rejects_bad_documents():
     with pytest.raises(ValueError, match="duplicate"):
         from_json_dict({"dim": 2, "products": [
             {"i": 1, "j": 1, "k": 2, "re": 1.0}, {"i": 1, "j": 1, "k": 2, "re": 2.0}]})
+    with pytest.raises(ValueError, match="malformed product entry"):
+        from_json_dict({"dim": 2, "products": [{"i": 1, "k": 2, "re": 1.0}]})
+    with pytest.raises(ValueError, match="malformed product entry"):
+        from_json_dict({"dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "re": "one"}]})
+    with pytest.raises(ValueError, match="malformed product entry"):
+        from_json_dict({"dim": 2, "products": [None]})
+    with pytest.raises(ValueError, match="must be a list"):
+        from_json_dict({"dim": 2, "products": 3})
+
+
+def test_non_finite_coefficients_are_named_before_symmetry():
+    with pytest.raises(ValueError, match="non-finite"):
+        load_tensor('{"dim": 2, "products": [{"i": 1, "j": 2, "k": 1, "re": NaN}]}')
+    table = np.zeros((2, 2, 2), dtype=complex)
+    table[0, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        StructureTensor(table)
 
 
 def test_json_output_is_sorted_and_stable():

@@ -61,6 +61,19 @@ def test_validate_accepts_good_file(tmp_path, capsys):
     assert "is_jordan     True" in out
 
 
+@pytest.mark.parametrize("doc", [
+    '{"dim": 2, "products": [{"i": 1, "k": 2, "re": 1.0}]}',
+    '{"dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "re": NaN}]}',
+])
+def test_bad_tensor_file_is_one_line_usage_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc)
+    code, out, err = run_cli(capsys, "invariants", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "invariants", "/nonexistent/mu.json")
     assert code == 2
