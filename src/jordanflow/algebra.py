@@ -18,6 +18,9 @@ import numpy as np
 
 RANK_TOL = 1e-8        # relative singular-value cutoff for all rank decisions
 GAP_WARN_RATIO = 1e3   # below this sv-gap ratio the rank decision is borderline
+# Largest dim a tensor document may declare.  The rank kernels build an
+# (n^3, n^2) complex matrix: 16 MB at n = 16, 512 MB at n = 32.
+MAX_DOCUMENT_DIM = 16
 
 __all__ = [
     "StructureTensor",
@@ -61,8 +64,8 @@ class StructureTensor:
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=complex)
-        if t.ndim != 3 or len(set(t.shape)) != 1:
-            raise ValueError(f"structure tensor needs shape (n, n, n), got {t.shape}")
+        if t.ndim != 3 or len(set(t.shape)) != 1 or t.shape[0] == 0:
+            raise ValueError(f"structure tensor needs shape (n, n, n) with n >= 1, got {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("structure tensor has non-finite coefficients")
         if not np.allclose(t, np.swapaxes(t, 0, 1), atol=1e-12, rtol=0.0):
@@ -220,27 +223,42 @@ def is_associative(mu: StructureTensor, tol: float = 1e-9) -> bool:
 # rank-revealing kernels
 
 
-def _kernel(mat: np.ndarray, rank_tol: float = RANK_TOL, floor: float = 0.0) -> tuple[np.ndarray, float]:
-    """Orthonormal nullspace basis (rows) of mat and the singular-value gap ratio at the cut.
+def _rank_split(mat: np.ndarray, rank_tol: float = RANK_TOL, floor: float = 0.0) -> tuple[int, np.ndarray, float]:
+    """Numerical rank of mat, its right singular vectors vh and the singular-value gap ratio at the cut.
 
-    floor gives the natural magnitude of the map; without it a matrix that is
-    mathematically zero but numerically ~1e-16 would be ranked against its own
-    roundoff and come out nonzero.
+    vh[:rank] spans the row space and vh[rank:].conj() the nullspace.  A wide
+    matrix gets its full V, so its nullspace survives; a tall or square one
+    gets the thin SVD, which already holds all of V.  At rank 0 vh is the
+    identity.  floor gives the natural magnitude of the map; without it a
+    matrix that is mathematically zero but numerically ~1e-16 would be
+    ranked against its own roundoff and come out nonzero.
     """
     cols = mat.shape[1]
     if mat.size == 0:
-        return np.eye(cols, dtype=complex), math.inf
-    _, s, vh = np.linalg.svd(mat)
-    smax = s[0] if s.size else 0.0
+        return 0, np.eye(cols, dtype=complex), math.inf
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < cols)
+    smax = s[0]
     cutoff = rank_tol * max(smax, floor)
     if smax <= cutoff:
-        return np.eye(cols, dtype=complex), math.inf
+        return 0, np.eye(cols, dtype=complex), math.inf
     rank = int(np.sum(s > cutoff))
-    if 0 < rank < s.size and s[rank] > 0.0:
-        gap = float(s[rank - 1] / s[rank])
-    else:
-        gap = math.inf
-    return vh[rank:].conj(), gap
+    gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else math.inf
+    return rank, vh, gap
+
+
+def _operator_matrix(t: np.ndarray, terms: int = 3) -> np.ndarray:
+    """Matrix (n^3, n^2) of A -> A.t on the matrix units E_ab, column a*n + b.
+
+    (E_ab.t)[i, j, c] = d_ca t[i, j, b] - d_ib t[a, j, c] - d_jb t[i, a, c];
+    the first two terms alone (terms=2) give the centroid condition
+    A t(x, y) - t(Ax, y).
+    """
+    n = t.shape[0]
+    e = np.eye(n)
+    mat = np.einsum("ca,ijb->ijcab", e, t) - np.einsum("ib,ajc->ijcab", e, t)
+    if terms == 3:
+        mat -= np.einsum("jb,iac->ijcab", e, t)
+    return mat.reshape(n**3, n * n)
 
 
 def trace_form(mu: StructureTensor) -> np.ndarray:
@@ -252,8 +270,8 @@ def trace_form(mu: StructureTensor) -> np.ndarray:
 
 def radical(mu: StructureTensor, rank_tol: float = RANK_TOL) -> Subspace:
     """Kernel of the trace form (Albert's criterion: the maximal nilpotent ideal)."""
-    basis, gap = _kernel(trace_form(mu), rank_tol, floor=mu.norm_sq)
-    return Subspace(mu.dim, basis, gap)
+    rank, vh, gap = _rank_split(trace_form(mu), rank_tol, floor=mu.norm_sq)
+    return Subspace(mu.dim, vh[rank:].conj(), gap)
 
 
 def is_semisimple(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
@@ -266,23 +284,16 @@ def derivation_algebra(mu: StructureTensor, rank_tol: float = RANK_TOL) -> tuple
     Returns (complex dimension, orthonormal basis of shape (dim, n, n), sv gap ratio).
     """
     n = mu.dim
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[a, b] = 1.0
-            cols.append(_inf_act_table(unit, mu.table).ravel())
-    mat = np.array(cols).T  # (n^3, n^2)
-    basis, gap = _kernel(mat, rank_tol, floor=mu.norm)
-    return basis.shape[0], basis.reshape(-1, n, n), gap
+    rank, vh, gap = _rank_split(_operator_matrix(mu.table), rank_tol, floor=mu.norm)
+    return n * n - rank, vh[rank:].conj().reshape(-1, n, n), gap
 
 
 def annihilator(mu: StructureTensor, rank_tol: float = RANK_TOL) -> Subspace:
     """{x : L_x = 0}, the kernel of the stacked left-multiplication map."""
     n = mu.dim
     mat = np.transpose(mu.table, (2, 1, 0)).reshape(n * n, n)  # rows (k,j), cols i
-    basis, gap = _kernel(mat, rank_tol, floor=mu.norm)
-    return Subspace(n, basis, gap)
+    rank, vh, gap = _rank_split(mat, rank_tol, floor=mu.norm)
+    return Subspace(n, vh[rank:].conj(), gap)
 
 
 def power_dims(mu: StructureTensor, rank_tol: float = RANK_TOL) -> list[int]:
@@ -291,44 +302,25 @@ def power_dims(mu: StructureTensor, rank_tol: float = RANK_TOL) -> list[int]:
     spaces = [np.eye(n, dtype=complex)]
     dims: list[int] = []
     while len(dims) <= n:  # the chain stabilizes within dim steps
-        k = len(spaces) + 1
-        vecs = []
-        for i in range(1, k):
-            j = k - i
-            if j > len(spaces):
-                continue
-            for u in spaces[i - 1]:
-                for v in spaces[j - 1]:
-                    vecs.append(np.einsum("ijk,i,j->k", mu.table, u, v))
-        stacked = np.array(vecs)
-        if stacked.size == 0:
-            dims.append(0)
+        # A^{k+1} is spanned by mu(A^i, A^{k+1-i}); spaces[i - 1] holds A^i
+        blocks = [
+            np.einsum("ijk,ai,bj->abk", mu.table, u, v).reshape(-1, n)
+            for u, v in zip(spaces, spaces[::-1])
+        ]
+        rank, vh, _ = _rank_split(np.concatenate(blocks), rank_tol, floor=mu.norm)
+        if dims and rank == dims[-1]:
             break
-        basis, _ = _row_space(stacked, rank_tol, floor=mu.norm)
-        dims.append(basis.shape[0])
-        if basis.shape[0] == 0 or (len(dims) >= 2 and dims[-1] == dims[-2]):
-            if len(dims) >= 2 and dims[-1] == dims[-2]:
-                dims.pop()
+        dims.append(rank)
+        if rank == 0:
             break
-        spaces.append(basis)
+        spaces.append(vh[:rank])
     return dims
-
-
-def _row_space(rows: np.ndarray, rank_tol: float = RANK_TOL, floor: float = 0.0) -> tuple[np.ndarray, float]:
-    _, s, vh = np.linalg.svd(rows)
-    smax = s[0] if s.size else 0.0
-    cutoff = rank_tol * max(smax, floor)
-    if smax <= cutoff:
-        return vh[:0], math.inf
-    rank = int(np.sum(s > cutoff))
-    gap = math.inf if rank >= s.size or s[rank] == 0.0 else float(s[rank - 1] / s[rank])
-    return vh[:rank], gap
 
 
 def product_rank(mu: StructureTensor, rank_tol: float = RANK_TOL) -> int:
     """dim mu(C^n, C^n) = dim A^2."""
     rows = mu.table.reshape(mu.dim * mu.dim, mu.dim)
-    return _row_space(rows, rank_tol, floor=mu.norm)[0].shape[0]
+    return _rank_split(rows, rank_tol, floor=mu.norm)[0]
 
 
 def is_nilpotent(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
@@ -476,16 +468,8 @@ def soliton_unitalize(mu: StructureTensor, check_tol: float = 1e-9) -> Structure
 def centroid(mu: StructureTensor, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis (k, n, n) of {T : T mu(x,y) = mu(Tx, y) for all x, y}."""
     n = mu.dim
-    cols = []
-    for a in range(n):
-        for b in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[a, b] = 1.0
-            diff = np.einsum("ijk,ck->ijc", mu.table, unit) - np.einsum("ljc,li->ijc", mu.table, unit)
-            cols.append(diff.ravel())
-    mat = np.array(cols).T
-    basis, _ = _kernel(mat, rank_tol, floor=mu.norm)
-    return basis.reshape(-1, n, n)
+    rank, vh, _ = _rank_split(_operator_matrix(mu.table, terms=2), rank_tol, floor=mu.norm)
+    return vh[rank:].conj().reshape(-1, n, n)
 
 
 def _cluster_points(vals: np.ndarray, link_tol: float) -> list[np.ndarray]:
@@ -596,13 +580,14 @@ def to_json_dict(mu: StructureTensor) -> dict:
 
 
 def from_json_dict(data: dict) -> StructureTensor:
+    """Parse a tensor document; dim above MAX_DOCUMENT_DIM is refused before anything is allocated."""
     try:
         dim = int(data["dim"])
         raw = data["products"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed tensor document: {exc!r}") from exc
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
+    if not 1 <= dim <= MAX_DOCUMENT_DIM:
+        raise ValueError(f"dim must be between 1 and {MAX_DOCUMENT_DIM}, got {dim}")
     if not isinstance(raw, list):
         raise ValueError(f"products must be a list, got {type(raw).__name__}")
     products: dict[tuple[int, int, int], complex] = {}

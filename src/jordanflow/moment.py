@@ -125,9 +125,9 @@ def soliton_check(mu: StructureTensor, tol: float = SOLITON_TOL,
     pairing = 0.0
     if pair_derivations:
         _, der_basis, _ = derivation_algebra(mu)
-        m_norm = float(np.linalg.norm(big_m))
-        for der in der_basis:
-            pairing = max(pairing, abs(complex(np.trace(big_m @ der.conj().T))) / max(m_norm, 1e-300))
+        # <M, D'> = tr(M D'^*) for every basis derivation D' at once
+        pairs = np.abs(np.einsum("kij,ij->k", der_basis.conj(), big_m))
+        pairing = float(np.max(pairs, initial=0.0)) / max(float(np.linalg.norm(big_m)), 1e-300)
     return MomentReport(
         M=big_m,
         m=big_m / n2,

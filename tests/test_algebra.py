@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_jordan_defect, eig_expm
 from jordanflow.algebra import (
+    MAX_DOCUMENT_DIM,
     StructureTensor,
     act,
     adjoin_unit,
@@ -332,6 +333,8 @@ def test_json_rejects_bad_documents():
         load_tensor("not json")
     with pytest.raises(ValueError):
         from_json_dict({"dim": 0, "products": []})
+    with pytest.raises(ValueError, match="between 1 and 16"):
+        from_json_dict({"dim": MAX_DOCUMENT_DIM + 1, "products": []})
     with pytest.raises(ValueError):
         from_json_dict({"dim": 2, "products": [{"i": 1, "j": 1, "k": 3, "re": 1.0}]})
     with pytest.raises(ValueError, match="duplicate"):
@@ -345,6 +348,12 @@ def test_json_rejects_bad_documents():
         from_json_dict({"dim": 2, "products": [None]})
     with pytest.raises(ValueError, match="must be a list"):
         from_json_dict({"dim": 2, "products": 3})
+
+
+@pytest.mark.parametrize("shape", [(0, 0, 0), (2, 2, 3), (2, 2)])
+def test_structure_tensor_needs_a_nonempty_cube(shape):
+    with pytest.raises(ValueError, match="needs shape"):
+        StructureTensor(np.zeros(shape))
 
 
 def test_non_finite_coefficients_are_named_before_symmetry():

@@ -64,6 +64,7 @@ def test_validate_accepts_good_file(tmp_path, capsys):
 @pytest.mark.parametrize("doc", [
     '{"dim": 2, "products": [{"i": 1, "k": 2, "re": 1.0}]}',
     '{"dim": 2, "products": [{"i": 1, "j": 1, "k": 2, "re": NaN}]}',
+    '{"dim": 100000, "products": []}',
 ])
 def test_bad_tensor_file_is_one_line_usage_error(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"

@@ -1,16 +1,31 @@
-"""The matmul table kernels against the einsum formulas they replace.
+"""The matmul table kernels and the rank kernels against the formulas they replace.
 
 The einsum forms below are the reference: the same sums written index by
 index.  The kernels reorder the sums, so they agree to roundoff, checked
-at 1e-12 relative to the size of the operands.
+at 1e-12 relative to the size of the operands.  The rank kernels are
+checked against the column-by-column operator matrices, the full-SVD rank
+cut and the vector-by-vector power chain.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jordanflow.algebra import act, _act_table, _inf_act_table, _moment_table
-from jordanflow.catalog import builtin
+from jordanflow.algebra import (
+    RANK_TOL,
+    StructureTensor,
+    act,
+    power_dims,
+    soliton_product,
+    _act_table,
+    _inf_act_table,
+    _moment_table,
+    _operator_matrix,
+    _rank_split,
+)
+from jordanflow.catalog import builtin, names
 from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, FlowOptions, run_flow
 from jordanflow.moment import moment_matrix
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
@@ -132,3 +147,143 @@ def test_one_flow_step_matches_einsum_step(name, n):
     ref_table, ref_energy = einsum_flow_step(start.table, FlowOptions().step0)
     assert norm(trace.terminal.table - ref_table) <= 1e-12
     assert trace.energies[1] == pytest.approx(ref_energy, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# rank kernels
+
+catalog_names = st.sampled_from(names())
+
+
+def ref_operator_matrix(t, terms):
+    """Column a*n + b is the image of the matrix unit E_ab, built one column at a time."""
+    n = t.shape[0]
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[a, b] = 1.0
+            if terms == 3:
+                cols.append(_inf_act_table(unit, t).ravel())
+            else:
+                cols.append((np.einsum("ijk,ck->ijc", t, unit) - np.einsum("ljc,li->ijc", t, unit)).ravel())
+    return np.array(cols).T
+
+
+def ref_rank_split(mat, rank_tol=RANK_TOL, floor=0.0):
+    """The rank cut on the full SVD: (rank, row-space basis, nullspace basis, gap ratio)."""
+    cols = mat.shape[1]
+    eye = np.eye(cols, dtype=complex)
+    if mat.size == 0:
+        return 0, eye[:0], eye, math.inf
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    cutoff = rank_tol * max(s[0], floor)
+    if s[0] <= cutoff:
+        return 0, eye[:0], eye, math.inf
+    rank = int(np.sum(s > cutoff))
+    gap = float(s[rank - 1] / s[rank]) if rank < s.size and s[rank] > 0.0 else math.inf
+    return rank, vh[:rank], vh[rank:].conj(), gap
+
+
+def ref_power_dims(mu):
+    """The power chain with one einsum per spanning vector."""
+    n = mu.dim
+    spaces = [np.eye(n, dtype=complex)]
+    dims = []
+    while len(dims) <= n:
+        k = len(spaces) + 1
+        vecs = []
+        for i in range(1, k):
+            for u in spaces[i - 1]:
+                for v in spaces[k - i - 1]:
+                    vecs.append(np.einsum("ijk,i,j->k", mu.table, u, v))
+        rank, rows, _, _ = ref_rank_split(np.array(vecs), floor=mu.norm)
+        if dims and rank == dims[-1]:
+            break
+        dims.append(rank)
+        if rank == 0:
+            break
+        spaces.append(rows)
+    return dims
+
+
+def projector(rows):
+    return rows.conj().T @ rows
+
+
+def unitary_soliton_product(name1, name2, seed):
+    mu = soliton_product(builtin(name1).tensor, builtin(name2).tensor)
+    return act(random_unitary(np.random.default_rng(seed), mu.dim), mu)
+
+
+def assert_same_split(mat, floor):
+    rank, vh, gap = _rank_split(mat, floor=floor)
+    ref_rank, ref_rows, ref_null, ref_gap = ref_rank_split(mat, floor=floor)
+    assert rank == ref_rank
+    assert gap == pytest.approx(ref_gap, rel=1e-9)
+    assert vh.shape == (mat.shape[1], mat.shape[1])
+    assert norm(projector(vh[:rank]) - projector(ref_rows)) <= 1e-10
+    assert norm(projector(vh[rank:].conj()) - projector(ref_null)) <= 1e-10
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds, terms=st.sampled_from([2, 3]))
+def test_operator_matrix_matches_column_build(n, seed, terms):
+    t = random_symmetric_tensor(np.random.default_rng(seed), n).table
+    assert np.array_equal(_operator_matrix(t, terms), ref_operator_matrix(t, terms))
+
+
+@KERNEL_CASES
+@given(name1=catalog_names, name2=catalog_names, seed=seeds, terms=st.sampled_from([2, 3]))
+def test_operator_matrix_matches_column_build_on_soliton_products(name1, name2, seed, terms):
+    t = unitary_soliton_product(name1, name2, seed).table
+    assert np.array_equal(_operator_matrix(t, terms), ref_operator_matrix(t, terms))
+
+
+@KERNEL_CASES
+@given(
+    m=st.integers(min_value=0, max_value=12),
+    n=st.integers(min_value=1, max_value=12),
+    rank=st.integers(min_value=0, max_value=12),
+    scale=st.sampled_from([1.0, 1e-17, 1e6]),
+    real=st.booleans(),
+    seed=seeds,
+)
+def test_rank_split_matches_full_svd(m, n, rank, scale, real, seed):
+    """Tall, wide, square, empty, zero and rank-deficient inputs; 1e-17 falls under the floor."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    left = rng.normal(size=(m, rank)) + (0 if real else 1j * rng.normal(size=(m, rank)))
+    right = rng.normal(size=(rank, n)) + (0 if real else 1j * rng.normal(size=(rank, n)))
+    mat = scale * (left @ right).astype(complex)
+    assert_same_split(mat, floor=1.0)
+    assert_same_split(mat, floor=0.0)
+
+
+@KERNEL_CASES
+@given(name1=catalog_names, name2=catalog_names, seed=seeds, terms=st.sampled_from([2, 3]))
+def test_rank_split_matches_full_svd_on_soliton_products(name1, name2, seed, terms):
+    mu = unitary_soliton_product(name1, name2, seed)
+    assert_same_split(_operator_matrix(mu.table, terms), floor=mu.norm)
+    assert_same_split(mu.table.reshape(mu.dim**2, mu.dim), floor=mu.norm)
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds, density=st.floats(min_value=0.1, max_value=1.0))
+def test_power_dims_matches_looped_chain_on_nilpotent_tensors(n, seed, density):
+    """Products e_i e_j land in span(e_k, k > max(i, j)), seen in a random basis."""
+    rng = np.random.default_rng(seed)
+    t = random_symmetric_tensor(rng, n).table
+    i, j, k = np.indices((n, n, n))
+    mask = (k > np.maximum(i, j)) & (rng.random((n, n, n)) < density)
+    mask = mask | np.swapaxes(mask, 0, 1)
+    mu = act(random_group_element(rng, n, cond_max=10), StructureTensor(np.where(mask, t, 0.0)))
+    assert power_dims(mu) == ref_power_dims(mu)
+
+
+@KERNEL_CASES
+@given(name1=catalog_names, name2=catalog_names, seed=seeds)
+def test_power_dims_matches_looped_chain_on_soliton_products(name1, name2, seed):
+    mu = unitary_soliton_product(name1, name2, seed)
+    assert power_dims(mu) == ref_power_dims(mu)
+
