@@ -54,7 +54,7 @@ def _load_input(args) -> StructureTensor:
 
 def _print_header(args) -> None:
     if not getattr(args, "json", False):
-        print(f"# jordan-flow {__version__}  seed={getattr(args, 'seed', 0)}")
+        print(f"# jordan-flow {__version__}")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -230,7 +230,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_reproduce(args) -> int:
     dims = (args.dim,) if args.dim else (1, 2, 3, 4)
-    report = reproduce_tables(dims=dims, jobs=args.jobs)
+    report = reproduce_tables(dims=dims)
     if args.json:
         payload = {
             "rows": [{"name": r.name, "dim": r.dim, "ok": r.ok, "type": r.type_str,
@@ -262,12 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", nargs="?", help="tensor JSON file")
             p.add_argument("--catalog", metavar="NAME", help="use a built-in catalog entry")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("validate", help="check a tensor JSON file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_validate)
 
@@ -299,21 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     pl = catalog_sub.add_parser("list")
     pl.add_argument("--dim", type=int)
     pl.add_argument("--json", action="store_true")
-    pl.add_argument("--seed", type=int, default=0)
     pl.set_defaults(func=cmd_catalog)
     pe = catalog_sub.add_parser("export")
     pe.add_argument("--name", required=True)
     pe.add_argument("--out", metavar="FILE")
     pe.add_argument("--json", action="store_true")
-    pe.add_argument("--seed", type=int, default=0)
     pe.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("reproduce", help="recompute the classification tables and diff")
     p.add_argument("--dim", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--format", choices=("csv", "md"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

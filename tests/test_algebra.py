@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_jordan_defect, eig_expm
 from jordanflow.algebra import (
@@ -348,6 +349,54 @@ def test_json_rejects_bad_documents():
         from_json_dict({"dim": 2, "products": [None]})
     with pytest.raises(ValueError, match="must be a list"):
         from_json_dict({"dim": 2, "products": 3})
+
+
+LOADER_CASES = settings(max_examples=200, deadline=None, database=None)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=8))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+# product entries and documents built from the real keys, so that most
+# examples get past the first lookup and reach the per-entry checks
+entry_values = st.integers(min_value=-1, max_value=5) | st.floats() | st.text(max_size=2) | st.none()
+json_entries = (
+    st.fixed_dictionaries({key: entry_values for key in ("i", "j", "k", "re")},
+                          optional={"im": entry_values})
+    | st.dictionaries(st.sampled_from(["i", "j", "k", "re", "im"]), entry_values, max_size=5)
+)
+json_documents = st.one_of(
+    json_values,
+    st.fixed_dictionaries({"dim": json_scalars, "products": json_values}),
+    st.fixed_dictionaries({"dim": st.integers(min_value=1, max_value=4),
+                           "products": st.lists(json_entries | json_values, max_size=6)}),
+)
+
+
+@LOADER_CASES
+@given(doc=json_documents)
+def test_loader_raises_only_value_error(doc):
+    for load in (lambda: from_json_dict(doc), lambda: load_tensor(json.dumps(doc))):
+        try:
+            mu = load()
+        except ValueError:
+            continue
+        assert isinstance(mu, StructureTensor)
+
+
+@LOADER_CASES
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       density=st.floats(min_value=0.0, max_value=1.0))
+def test_json_round_trip_is_exact_on_random_tensors(n, seed, density):
+    rng = np.random.default_rng(seed)
+    t = random_symmetric_tensor(rng, n).table
+    keep = rng.random((n, n, n)) < density
+    mu = StructureTensor(t * (keep & np.swapaxes(keep, 0, 1)))
+    again = load_tensor(dump_tensor(mu))
+    assert again.dim == n
+    assert np.array_equal(again.table, mu.table)
 
 
 @pytest.mark.parametrize("shape", [(0, 0, 0), (2, 2, 3), (2, 2)])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jordanflow import catalog
 from jordanflow.algebra import (
     act,
     direct_product,
@@ -170,11 +171,25 @@ def test_reproduce_flags_mismatches():
         assert row.ok
 
 
-def test_reproduce_parallel_matches_serial():
-    serial = reproduce_tables(dims=(2,), jobs=1)
-    parallel = reproduce_tables(dims=(2,), jobs=2)
-    assert [r.name for r in serial.rows] == [r.name for r in parallel.rows]
-    assert [r.ok for r in serial.rows] == [r.ok for r in parallel.rows]
+def test_reproduce_flows_the_non_distinguished_entry_once(monkeypatch):
+    catalog._entry_flow.cache_clear()
+    catalog._entry_fingerprint.cache_clear()
+    flowed = []
+
+    def counting_run_flow(mu, *args, **kwargs):
+        flowed.append(mu.dim)
+        return run_flow(mu, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "run_flow", counting_run_flow)
+    report = reproduce_tables(dims=(4,))
+    assert flowed == [4]
+    catalog._entry_fingerprint("A_4_63")
+    assert flowed == [4]
+    row = next(r for r in report.rows if r.name == "A_4_63")
+    assert row.ok
+    assert "dim Der 4->5" in row.note
+    assert catalog._entry_flow("A_4_63").terminal_energy == pytest.approx(1.5, abs=1e-6)
+    assert flowed == [4]
 
 
 def test_expected_types_format():

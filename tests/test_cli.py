@@ -20,7 +20,8 @@ def run_cli(capsys, *argv):
 def test_moment_subcommand(capsys):
     code, out, _ = run_cli(capsys, "moment", "--catalog", "A_2_3")
     assert code == 0
-    assert "seed=0" in out
+    assert out.startswith("# jordan-flow ")
+    assert "seed" not in out
     assert "[-2, 0]" in out and "[0, 1]" in out
     assert "energy           5" in out
     assert "(1<2;1,1)" in out

@@ -155,3 +155,12 @@ def test_clean_limit_extracts_pattern():
     for name in ("A_4_16", "A_4_26", "A_4_53"):
         mu = builtin(name).tensor
         assert clean_limit(mu).allclose(mu, atol=0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="generic starts on non-semisimple orbits leave the orbit: "
+                   "this one stops on line_search_floor after 71 steps at E = 1/3 with a "
+                   "terminal Jordan defect of 0.31")
+def test_generic_start_on_a_non_semisimple_orbit_reaches_its_stratum():
+    entry = builtin("A_3_17")
+    trace = run_flow(act(random_group_element(np.random.default_rng(7), 3), entry.tensor))
+    assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-6)
