@@ -155,6 +155,7 @@ def cmd_flow(args) -> int:
         "converged": trace.converged,
         "stop_reason": trace.stop_reason,
         "terminal_energy": trace.terminal_energy,
+        "lower_bound": trace.lower_bound,
         "terminal_residual": trace.terminal_report.soliton_residual,
         "terminal_type": trace.terminal_type.to_json_dict() if trace.terminal_type else None,
     }
@@ -162,6 +163,7 @@ def cmd_flow(args) -> int:
         f"steps            {trace.steps_taken}",
         f"converged        {trace.converged} ({trace.stop_reason})",
         f"terminal energy  {_fmt(trace.terminal_energy)}",
+        f"lower bound      {_fmt(trace.lower_bound) if trace.lower_bound is not None else 'none'}",
         f"terminal type    {trace.terminal_type if trace.terminal_type else 'unsnapped'}",
     ]
     _emit(args, payload, lines)

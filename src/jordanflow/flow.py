@@ -7,6 +7,12 @@ gradient is tangent to the orbit, each step is realized by a group element,
 so the discrete trajectory inherits the defining property of the exact
 flow: it stays in the orbit of its start and converges to a soliton in the
 orbit closure, whose moment spectrum labels the stratum of the start.
+
+On the orbit the energy is squeezed by the stratum energy (Kirwan-Ness):
+||beta_{k.x}||^2 <= ||beta_stratum||^2 <= E(x) for every unitary frame k,
+where beta_{k.x} is Wolfe's min-norm point of the support weights of k.x.
+The flow reads the lower bound in an eigenbasis of the moment matrix and
+stops once the two sides meet at float resolution.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
 from .moment import MomentReport, SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
+from .weights import SUPPORT_TOL, _support, _support_mask, min_norm_point
 
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-18
@@ -39,7 +46,6 @@ class FlowOptions:
     grad_tol: float = 1e-9
     energy_plateau_tol: float = 1e-12
     plateau_window: int = PLATEAU_WINDOW
-    renormalize: bool = True
 
     def __post_init__(self):
         if min(self.step0, self.grad_tol, self.energy_plateau_tol) <= 0:
@@ -53,9 +59,10 @@ class FlowTrace:
     terminal: StructureTensor
     steps_taken: int
     converged: bool
-    stop_reason: str                      # gradient | plateau | line_search_floor | max_steps
+    stop_reason: str                      # gradient | certificate | plateau | line_search_floor | max_steps
     terminal_report: MomentReport
     terminal_type: SolitonType | None     # None when rational snapping fails
+    lower_bound: float | None             # running max of ||beta||^2 read on plateau steps; None if none ran
 
     @property
     def terminal_energy(self) -> float:
@@ -91,21 +98,47 @@ def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float)
     return 0.5 * (moved + np.swapaxes(moved, 0, 1))  # keep float symmetry exact
 
 
+def _lower_bound(t: np.ndarray, vecs: np.ndarray, memo: dict[bytes, float]) -> float:
+    """||beta||^2 of t's support weights in the frame that diagonalizes m.
+
+    vecs holds eigenvectors of the moment matrix of t as columns; rotating
+    t by the unitary vecs^* is a move inside its orbit, so the result is a
+    lower bound on the stratum energy.  memo holds it per support.
+    """
+    mask = _support_mask(_act_table(t, vecs, vecs.conj().T), SUPPORT_TOL)
+    key = mask.tobytes()
+    if key not in memo:
+        point = min_norm_point(_support(mask)[1]).point
+        memo[key] = float(point @ point)
+    return memo[key]
+
+
 def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
              type_snap_tol: float = 1e-4) -> FlowTrace:
-    """Descend the energy from mu until the gradient (or the progress) dies.
+    """Descend the energy from mu until the gradient dies or the energy is certified.
 
     Energies are non-increasing over accepted steps.  Steps move along the
     orbit by the group elements exp(-s (m + E I)) whose derivative at s = 0
     is exactly the negative gradient, so the discrete trajectory never
     leaves the orbit (untying it from the measure-zero stable manifolds a
     plain Euler step falls off).  Convergence is reported through
-    stop_reason: at the gradient tolerance, by energy plateau, or at the
-    line-search floor (no float64 decrease possible); hitting max_steps is
-    the only non-converged outcome.  The terminal type is snapped at
-    type_snap_tol, coarser than the soliton default because the limit is
-    only approached at the flow's own accuracy; the candidate labels are
-    spaced at least 1/(63*64) apart, so the coarser snap stays unambiguous.
+    stop_reason:
+
+    - gradient: the gradient norm reached grad_tol;
+    - certificate: |E - L| <= energy_plateau_tol, where L is the running
+      max of ||beta||^2 over the support weights of the iterate in an
+      eigenbasis of m.  L <= stratum energy <= E on the orbit, so E is at
+      its stratum's floor.  L is read on plateau steps whose count is a
+      power of two, and memoized per support;
+    - plateau: plateau_window steps in a row lowered E by less than
+      energy_plateau_tol;
+    - line_search_floor: no float64 decrease possible;
+    - max_steps: the only non-converged outcome.
+
+    The terminal type is snapped at type_snap_tol, coarser than the soliton
+    default because the limit is only approached at the flow's own accuracy;
+    the candidate labels are spaced at least 1/(63*64) apart, so the coarser
+    snap stays unambiguous.
     """
     if mu.is_zero():
         raise ValueError("cannot flow the zero tensor")
@@ -116,12 +149,15 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             "the flow is defined but the terminal need not be a Jordan soliton",
             stacklevel=2,
         )
-    t = mu.table / mu.norm if opts.renormalize else mu.table.copy()
+    t = mu.table / mu.norm
     e, direction = _energy_direction(t)
+    evals, vecs = np.linalg.eigh(direction)  # shared by the cap, every backtrack and the certificate
     energies = [e]
     grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
     step = opts.step0
     plateau = 0
+    lower = None
+    memo: dict[bytes, float] = {}
     steps_taken = 0
     stop_reason = None
     while steps_taken < opts.max_steps:
@@ -130,13 +166,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             stop_reason = "gradient"
             break
         accepted = False
-        evals, vecs = np.linalg.eigh(direction)  # shared by the cap and every backtrack
         spread = float(np.max(np.abs(evals))) or 1.0
         step = min(step, MAX_LOG_STRETCH / spread)
         while step > STEP_FLOOR:
             cand = _orbit_step(t, evals, vecs, step)
-            if opts.renormalize:
-                cand = cand / np.linalg.norm(cand)
+            cand = cand / np.linalg.norm(cand)
             e2, direction2 = _energy_direction(cand)
             if e2 <= e - ARMIJO * step * gn * gn:
                 accepted = True
@@ -147,10 +181,17 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
             break
         plateau = plateau + 1 if abs(e - e2) < opts.energy_plateau_tol else 0
         t, e, direction = cand, e2, direction2
+        evals, vecs = np.linalg.eigh(direction)
         steps_taken += 1
         energies.append(e)
         grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
         step *= 1.1
+        if plateau and plateau & (plateau - 1) == 0:
+            bound = _lower_bound(t, vecs, memo)
+            lower = bound if lower is None else max(lower, bound)
+            if abs(e - lower) <= opts.energy_plateau_tol:
+                stop_reason = "certificate"
+                break
         if plateau >= opts.plateau_window:
             stop_reason = "plateau"
             break
@@ -175,6 +216,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         stop_reason=stop_reason,
         terminal_report=report,
         terminal_type=ttype,
+        lower_bound=lower,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jordanflow import cli
-from jordanflow.algebra import dump_tensor, load_tensor
+from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +104,24 @@ def test_flow_subcommand_with_trace(tmp_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,energy,grad_norm"
     assert len(lines) > 100
+
+
+def test_flow_reports_its_certificate(tmp_path, capsys):
+    start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
+    path = tmp_path / "torus.json"
+    path.write_text(dump_tensor(start))
+    code, out, _ = run_cli(capsys, "flow", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stop_reason"] == "certificate"
+    assert payload["lower_bound"] == pytest.approx(5 / 11, abs=1e-12)
+    assert payload["terminal_energy"] - payload["lower_bound"] <= 1e-12
+    code, out, _ = run_cli(capsys, "flow", str(path))
+    assert code == 0
+    assert "converged        True (certificate)" in out
+    assert "lower bound      0.454545454545" in out
+    code, out, _ = run_cli(capsys, "flow", "--catalog", "A_2_3")
+    assert "lower bound      none" in out   # a critical start stops before any plateau step
 
 
 def test_flow_nonconvergence_is_compute_error(capsys):

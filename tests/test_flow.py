@@ -3,12 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+from jordanflow import flow
 from jordanflow.algebra import act
 from jordanflow.catalog import builtin, heisenberg
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, clean_limit, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
-from jordanflow.stratify import beta_mu_point
+from jordanflow.stratify import beta_mu_point, min_norm_point
 
 
 def test_flow_from_semisimple_reaches_minimum(rng):
@@ -32,6 +33,7 @@ def test_flow_at_critical_point_stops_immediately():
     assert trace.converged
     assert trace.stop_reason == "gradient"
     assert trace.steps_taken == 0
+    assert trace.lower_bound is None  # no plateau step, so no certificate was read
     assert trace.terminal.allclose(heisenberg(3).normalized(), atol=1e-12)
     assert trace.terminal_type is not None
     # the trivial third direction shifts the type (exactly the A_2_3 x T row)
@@ -47,6 +49,40 @@ def test_flow_from_non_distinguished_orbit():
     assert np.allclose(evals, [-1.0, -0.5, 0.0, 0.5], atol=1e-4)
     assert trace.terminal_type is not None
     assert str(trace.terminal_type) == "(1<2<3<4;1,1,1,1)"
+
+
+@pytest.mark.parametrize("name", ["A_4_26", "A_4_62"])
+def test_torus_starts_stop_on_the_certificate(rng, name):
+    # diag(e^u).mu stays on the orbit of the soliton mu, which it reaches
+    # in a few dozen steps; the plateau rule alone would wait 500 more
+    entry = builtin(name)
+    table = float(entry.expected_energy)
+    for _ in range(3):
+        start = act(np.diag(np.exp(0.5 * rng.normal(size=4))), entry.tensor)
+        trace = run_flow(start)
+        assert trace.stop_reason == "certificate"
+        assert trace.converged
+        assert trace.steps_taken <= 60
+        assert trace.terminal_energy == pytest.approx(table, abs=1e-12)
+        assert trace.lower_bound == pytest.approx(table, abs=1e-12)
+
+
+def test_non_distinguished_flow_keeps_its_plateau_stop(monkeypatch):
+    # A_4_63's flow ends 1.9e-9 above its floor: the certificate reads the
+    # stratum energy 3/2 but never closes, so the plateau rule still stops it
+    calls = []
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return min_norm_point(vectors)
+
+    monkeypatch.setattr(flow, "min_norm_point", counting)
+    trace = run_flow(builtin("A_4_63").tensor)
+    assert trace.stop_reason == "plateau"
+    assert trace.steps_taken == 8946
+    assert trace.lower_bound == pytest.approx(1.5, abs=1e-12)
+    assert trace.terminal_energy - trace.lower_bound > FlowOptions().energy_plateau_tol
+    assert 1 <= len(calls) <= 20  # memoized per support
 
 
 def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):

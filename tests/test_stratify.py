@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jordanflow.algebra import StructureTensor, act
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
 from jordanflow.moment import moment_map, energy, soliton_check
-from jordanflow.sampling import random_group_element, random_unitary
+from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 from jordanflow.stratify import (
     StratumLabel,
     beta_mu,
@@ -47,6 +48,77 @@ def test_support_tolerance_is_relative():
     scaled = mu.scaled(1e-6)
     assert [w.diagonal for w in support_weights(mu)] == \
         [w.diagonal for w in support_weights(scaled)]
+
+
+CASES = settings(max_examples=60, deadline=None, database=None)
+
+
+def brute_support_weights(mu: StructureTensor, tol: float):
+    """(diagonal, triples) per distinct weight, by a loop over the i <= j triangle."""
+    n = mu.dim
+    mx = float(np.max(np.abs(mu.table)))
+    seen = {}
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                if abs(mu.table[i, j, k]) > tol * mx:
+                    diag = [0] * n
+                    diag[i] -= 1
+                    diag[j] -= 1
+                    diag[k] += 1
+                    seen.setdefault(tuple(diag), []).append((i + 1, j + 1, k + 1))
+    return [(diag, tuple(triples)) for diag, triples in sorted(seen.items())]
+
+
+@CASES
+@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       density=st.floats(min_value=0.0, max_value=1.0), tol=st.sampled_from([1e-10, 1e-3, 0.5]))
+def test_support_weights_match_the_triangle_loop(n, seed, density, tol):
+    rng = np.random.default_rng(seed)
+    t = random_symmetric_tensor(rng, n).table
+    keep = rng.random((n, n, n)) < density
+    # about a third of the coefficients land around the 1e-10 relative cut
+    scale = np.where(rng.random((n, n, n)) < 0.3, 10.0 ** rng.uniform(-12, -8, (n, n, n)), 1.0)
+    scale = np.minimum(scale, np.swapaxes(scale, 0, 1))
+    mu = StructureTensor(t * scale * (keep & np.swapaxes(keep, 0, 1)))
+    if mu.is_zero():
+        with pytest.raises(ValueError):
+            support_weights(mu, tol)
+        return
+    ours = [(w.diagonal, w.triples) for w in support_weights(mu, tol)]
+    assert ours == brute_support_weights(mu, tol)
+
+
+def test_support_cut_is_strict():
+    # a coefficient at exactly tol * max|coeff| is not supported
+    mu = StructureTensor.from_products(2, {(1, 1, 1): 1.0, (1, 2, 2): 0.5})
+    assert [w.triples for w in support_weights(mu, 0.5)] == [((1, 1, 1),)]
+    assert [w.triples for w in support_weights(mu, 0.49)] == [((1, 1, 1), (1, 2, 2))]
+
+
+weight_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d),
+                       min_size=1, max_size=5))
+
+
+@CASES
+@given(pts=weight_sets, seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_min_norm_point_on_integer_weights_against_the_oracle(pts, seed):
+    from conftest import oracle_min_norm
+
+    pts = np.asarray(pts, dtype=float)
+    res = min_norm_point(pts)
+    oracle = oracle_min_norm(pts)
+    assert res.certificate_gap >= -1e-9
+    assert float(res.point @ res.point) <= float(oracle @ oracle) + 1e-9  # the oracle point is feasible
+    assert np.linalg.norm(res.point - oracle) < 1e-4
+    # duplicated and reordered copies of the set have the same min-norm point
+    rng = np.random.default_rng(seed)
+    dup = pts[rng.integers(0, len(pts), size=int(rng.integers(1, 3)))]
+    mixed = np.vstack([pts, dup])[rng.permutation(len(pts) + len(dup))]
+    again = min_norm_point(mixed)
+    assert again.certificate_gap >= -1e-9
+    assert np.allclose(again.point, res.point, atol=1e-9)
 
 
 def test_min_norm_point_examples():
