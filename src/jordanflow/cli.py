@@ -163,7 +163,7 @@ def cmd_flow(args) -> int:
         f"steps            {trace.steps_taken}",
         f"converged        {trace.converged} ({trace.stop_reason})",
         f"terminal energy  {_fmt(trace.terminal_energy)}",
-        f"lower bound      {_fmt(trace.lower_bound) if trace.lower_bound is not None else 'none'}",
+        f"lower bound      {_fmt(trace.lower_bound)}",
         f"terminal type    {trace.terminal_type if trace.terminal_type else 'unsnapped'}",
     ]
     _emit(args, payload, lines)

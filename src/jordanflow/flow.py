@@ -12,7 +12,7 @@ On the orbit the energy is squeezed by the stratum energy (Kirwan-Ness):
 ||beta_{k.x}||^2 <= ||beta_stratum||^2 <= E(x) for every unitary frame k,
 where beta_{k.x} is Wolfe's min-norm point of the support weights of k.x.
 The flow reads the lower bound in an eigenbasis of the moment matrix and
-stops once the two sides meet at float resolution.
+stops once the two sides meet at float resolution above the floor 1/n.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
 from .moment import MomentReport, SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
-from .weights import SUPPORT_TOL, _support, _support_mask, min_norm_point
+from .weights import SUPPORT_TOL, min_norm_point, support_weights
 
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-18
@@ -62,7 +62,7 @@ class FlowTrace:
     stop_reason: str                      # gradient | certificate | plateau | line_search_floor | max_steps
     terminal_report: MomentReport
     terminal_type: SolitonType | None     # None when rational snapping fails
-    lower_bound: float | None             # running max of ||beta||^2 read on plateau steps; None if none ran
+    lower_bound: float                    # running max of ||beta||^2 read by the certificate
 
     @property
     def terminal_energy(self) -> float:
@@ -102,15 +102,23 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray, memo: dict[bytes, float]) -> f
     """||beta||^2 of t's support weights in the frame that diagonalizes m.
 
     vecs holds eigenvectors of the moment matrix of t as columns; rotating
-    t by the unitary vecs^* is a move inside its orbit, so the result is a
-    lower bound on the stratum energy.  memo holds it per support.
+    t by the unitary vecs^* is a move inside its orbit.  The support is cut
+    at SUPPORT_TOL of the largest coefficient, so the result bounds the
+    stratum energy of the rotated tensor with its sub-cut coefficients
+    dropped.  memo holds it per support mask.
     """
-    mask = _support_mask(_act_table(t, vecs, vecs.conj().T), SUPPORT_TOL)
-    key = mask.tobytes()
+    rotated = _act_table(t, vecs, vecs.conj().T)
+    rotated = 0.5 * (rotated + np.swapaxes(rotated, 0, 1))
+    mags = np.abs(rotated)
+    key = (mags > SUPPORT_TOL * np.max(mags)).tobytes()
     if key not in memo:
-        point = min_norm_point(_support(mask)[1]).point
+        point = min_norm_point([w.vector for w in support_weights(StructureTensor(rotated))]).point
         memo[key] = float(point @ point)
     return memo[key]
+
+
+def _is_power_of_two(k: int) -> bool:
+    return k > 0 and k & (k - 1) == 0
 
 
 def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
@@ -119,17 +127,24 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
 
     Energies are non-increasing over accepted steps.  Steps move along the
     orbit by the group elements exp(-s (m + E I)) whose derivative at s = 0
-    is exactly the negative gradient, so the discrete trajectory never
-    leaves the orbit (untying it from the measure-zero stable manifolds a
+    is exactly the negative gradient, so in exact arithmetic the discrete
+    trajectory never leaves the orbit (untying it from the measure-zero stable manifolds a
     plain Euler step falls off).  Convergence is reported through
     stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
-    - certificate: |E - L| <= energy_plateau_tol, where L is the running
-      max of ||beta||^2 over the support weights of the iterate in an
-      eigenbasis of m.  L <= stratum energy <= E on the orbit, so E is at
-      its stratum's floor.  L is read on plateau steps whose count is a
-      power of two, and memoized per support;
+    - certificate: |E - L| <= energy_plateau_tol with L above the floor
+      1/n by more than energy_plateau_tol.  L is the running max of
+      ||beta||^2 over the support weights (cut at SUPPORT_TOL) of the
+      iterate in an eigenbasis of m, read at the start, after each step
+      whose count is a power of two and on each plateau step whose count is
+      a power of two, and memoized per support mask.  On the orbit of mu,
+      L <= stratum energy <= E up to that cut, so E is at its stratum's
+      floor.  Roundoff can still carry an iterate off its orbit, to an
+      energy below the stratum energy of mu; the certificate sees that only
+      when an earlier L exceeds E (then it cannot close).  Such iterates end
+      with their support filled and L at 1/n, a bound every tensor meets
+      (tr m = -1), so a bound at the floor never stops the flow;
     - plateau: plateau_window steps in a row lowered E by less than
       energy_plateau_tol;
     - line_search_floor: no float64 decrease possible;
@@ -156,8 +171,9 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
     grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
     step = opts.step0
     plateau = 0
-    lower = None
     memo: dict[bytes, float] = {}
+    lower = _lower_bound(t, vecs, memo)
+    floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
     stop_reason = None
     while steps_taken < opts.max_steps:
@@ -186,10 +202,9 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         energies.append(e)
         grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
         step *= 1.1
-        if plateau and plateau & (plateau - 1) == 0:
-            bound = _lower_bound(t, vecs, memo)
-            lower = bound if lower is None else max(lower, bound)
-            if abs(e - lower) <= opts.energy_plateau_tol:
+        if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
+            lower = max(lower, _lower_bound(t, vecs, memo))
+            if lower - floor > opts.energy_plateau_tol and abs(e - lower) <= opts.energy_plateau_tol:
                 stop_reason = "certificate"
                 break
         if plateau >= opts.plateau_window:

@@ -38,46 +38,19 @@ class WeightVector:
         return np.asarray(self.diagonal, dtype=float)
 
 
-def _support_mask(table: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean mask of the coefficients with |t_ij^k| > tol * max|coeff|."""
-    mags = np.abs(table)
-    mx = float(np.max(mags))
-    if mx == 0.0:
-        raise ValueError("the zero tensor has empty support")
-    return mags > tol * mx
-
-
-def _support(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Supported slots of a symmetric support mask and their distinct weights.
-
-    Returns (slots, diagonals, which): slots[r] = 0-based (i, j, k), i <= j,
-    of every supported coefficient, in (i, j, k) order; diagonals holds the
-    distinct weights in ascending lexicographic order; slot r carries
-    weight diagonals[which[r]].
-    """
-    slots = np.argwhere(mask)          # row-major, so in (i, j, k) order
-    slots = slots[slots[:, 0] <= slots[:, 1]]
-    rows = np.arange(len(slots))
-    alpha = np.zeros((len(slots), mask.shape[0]), dtype=int)
-    alpha[rows, slots[:, 0]] -= 1
-    alpha[rows, slots[:, 1]] -= 1
-    alpha[rows, slots[:, 2]] += 1
-    order = np.lexsort(alpha.T[::-1])  # rows in ascending lexicographic order
-    ranked = alpha[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    which = np.empty(len(order), dtype=int)
-    which[order] = np.cumsum(new) - 1
-    return slots, ranked[new], which
-
-
 def support_weights(mu: StructureTensor, tol: float = SUPPORT_TOL) -> list[WeightVector]:
     """Distinct weight vectors of the coefficients with |mu_ij^k| > tol * max|coeff|."""
-    slots, diagonals, which = _support(_support_mask(mu.table, tol))
-    triples: list[list[tuple[int, int, int]]] = [[] for _ in range(len(diagonals))]
-    for (i, j, k), w in zip((slots + 1).tolist(), which.tolist()):
-        triples[w].append((i, j, k))
-    return [WeightVector(tuple(diag), tuple(trip)) for diag, trip in zip(diagonals.tolist(), triples)]
+    mx = float(np.max(np.abs(mu.table)))
+    if mx == 0.0:
+        raise ValueError("the zero tensor has empty support")
+    seen: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for i, j, k, _ in mu.products(tol=tol * mx):
+        diag = [0] * mu.dim
+        diag[i - 1] -= 1
+        diag[j - 1] -= 1
+        diag[k - 1] += 1
+        seen.setdefault(tuple(diag), []).append((i, j, k))
+    return [WeightVector(diag, tuple(triples)) for diag, triples in sorted(seen.items())]
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def test_flow_reports_its_certificate(tmp_path, capsys):
     assert "converged        True (certificate)" in out
     assert "lower bound      0.454545454545" in out
     code, out, _ = run_cli(capsys, "flow", "--catalog", "A_2_3")
-    assert "lower bound      none" in out   # a critical start stops before any plateau step
+    assert "lower bound      5\n" in out   # read at the start, which is critical
 
 
 def test_flow_nonconvergence_is_compute_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from jordanflow import flow
 from jordanflow.algebra import act
-from jordanflow.catalog import builtin, heisenberg
+from jordanflow.catalog import builtin, heisenberg, names
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, clean_limit, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
@@ -33,7 +33,7 @@ def test_flow_at_critical_point_stops_immediately():
     assert trace.converged
     assert trace.stop_reason == "gradient"
     assert trace.steps_taken == 0
-    assert trace.lower_bound is None  # no plateau step, so no certificate was read
+    assert trace.lower_bound == pytest.approx(5.0, abs=1e-12)  # read at the start
     assert trace.terminal.allclose(heisenberg(3).normalized(), atol=1e-12)
     assert trace.terminal_type is not None
     # the trivial third direction shifts the type (exactly the A_2_3 x T row)
@@ -83,6 +83,25 @@ def test_non_distinguished_flow_keeps_its_plateau_stop(monkeypatch):
     assert trace.lower_bound == pytest.approx(1.5, abs=1e-12)
     assert trace.terminal_energy - trace.lower_bound > FlowOptions().energy_plateau_tol
     assert 1 <= len(calls) <= 20  # memoized per support
+
+
+def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
+    # acceptance criterion 3's generic starts: roundoff carries many of these
+    # flows off their orbit, down to the floor 1/n, where every tensor's
+    # bound lies; none of them may stop as certified
+    rng = np.random.default_rng(3)
+    certified = 0
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        pool = names(n)
+        entry = builtin(pool[int(rng.integers(len(pool)))])
+        trace = run_flow(act(random_group_element(rng, n, 50.0), entry.tensor))
+        assert trace.lower_bound <= float(entry.expected_energy) + 1e-12
+        if trace.stop_reason == "certificate":
+            certified += 1
+            assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-9)
+            assert trace.lower_bound > 1.0 / n
+    assert certified >= 20
 
 
 def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):

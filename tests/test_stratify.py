@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from jordanflow.algebra import StructureTensor, act
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
 from jordanflow.moment import moment_map, energy, soliton_check
-from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
+from jordanflow.sampling import random_group_element, random_unitary
 from jordanflow.stratify import (
     StratumLabel,
     beta_mu,
@@ -50,45 +50,6 @@ def test_support_tolerance_is_relative():
         [w.diagonal for w in support_weights(scaled)]
 
 
-CASES = settings(max_examples=60, deadline=None, database=None)
-
-
-def brute_support_weights(mu: StructureTensor, tol: float):
-    """(diagonal, triples) per distinct weight, by a loop over the i <= j triangle."""
-    n = mu.dim
-    mx = float(np.max(np.abs(mu.table)))
-    seen = {}
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                if abs(mu.table[i, j, k]) > tol * mx:
-                    diag = [0] * n
-                    diag[i] -= 1
-                    diag[j] -= 1
-                    diag[k] += 1
-                    seen.setdefault(tuple(diag), []).append((i + 1, j + 1, k + 1))
-    return [(diag, tuple(triples)) for diag, triples in sorted(seen.items())]
-
-
-@CASES
-@given(n=st.integers(min_value=1, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
-       density=st.floats(min_value=0.0, max_value=1.0), tol=st.sampled_from([1e-10, 1e-3, 0.5]))
-def test_support_weights_match_the_triangle_loop(n, seed, density, tol):
-    rng = np.random.default_rng(seed)
-    t = random_symmetric_tensor(rng, n).table
-    keep = rng.random((n, n, n)) < density
-    # about a third of the coefficients land around the 1e-10 relative cut
-    scale = np.where(rng.random((n, n, n)) < 0.3, 10.0 ** rng.uniform(-12, -8, (n, n, n)), 1.0)
-    scale = np.minimum(scale, np.swapaxes(scale, 0, 1))
-    mu = StructureTensor(t * scale * (keep & np.swapaxes(keep, 0, 1)))
-    if mu.is_zero():
-        with pytest.raises(ValueError):
-            support_weights(mu, tol)
-        return
-    ours = [(w.diagonal, w.triples) for w in support_weights(mu, tol)]
-    assert ours == brute_support_weights(mu, tol)
-
-
 def test_support_cut_is_strict():
     # a coefficient at exactly tol * max|coeff| is not supported
     mu = StructureTensor.from_products(2, {(1, 1, 1): 1.0, (1, 2, 2): 0.5})
@@ -96,6 +57,7 @@ def test_support_cut_is_strict():
     assert [w.triples for w in support_weights(mu, 0.49)] == [((1, 1, 1), (1, 2, 2))]
 
 
+CASES = settings(max_examples=60, deadline=None, database=None)
 weight_sets = st.integers(min_value=1, max_value=4).flatmap(
     lambda d: st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d),
                        min_size=1, max_size=5))
