@@ -30,7 +30,7 @@ from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
 from .moment import sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
-from .stratify import beta_mu_point, stratum_of, support_weights, StratumLabel
+from .stratify import StratumLabel, min_norm_point, stratum_of, support_weights
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -173,7 +173,7 @@ def cmd_flow(args) -> int:
 def cmd_stratify(args) -> int:
     mu = _load_input(args)
     weights = support_weights(mu)
-    result = beta_mu_point(mu)
+    result = min_norm_point([w.diagonal for w in weights])
     try:
         label = StratumLabel.from_floats(result.point, snap_tol=1e-6)
         beta_json = label.to_json_dict()

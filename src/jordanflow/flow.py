@@ -27,7 +27,8 @@ import numpy as np
 from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
 from .moment import MomentReport, SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
-from .weights import SUPPORT_TOL, min_norm_point, support_weights
+from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, min_norm_point,
+                      support_weights)
 
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-18
@@ -59,14 +60,12 @@ class FlowTrace:
     terminal: StructureTensor
     steps_taken: int
     converged: bool
-    stop_reason: str                      # gradient | certificate | plateau | line_search_floor | max_steps
+    stop_reason: str                      # gradient | certificate | plateau | line_search_floor | left_orbit | max_steps
     terminal_report: MomentReport
     terminal_type: SolitonType | None     # None when rational snapping fails
     lower_bound: float                    # running max of ||beta||^2 read by the certificate
-
-    @property
-    def terminal_energy(self) -> float:
-        return self.energies[-1]
+    terminal_energy: float                # the last iterate's energy, or nu's on a witness stop
+    witness: DegenerationCurve | None     # takes the last iterate, rotated into an eigenbasis of m, to nu
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
@@ -98,23 +97,70 @@ def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float)
     return 0.5 * (moved + np.swapaxes(moved, 0, 1))  # keep float symmetry exact
 
 
-def _lower_bound(t: np.ndarray, vecs: np.ndarray, memo: dict[bytes, float]) -> float:
+_Face = tuple[np.ndarray, tuple[int, ...]]   # coefficient mask of the kept weights, exponents a
+
+
+def _lower_bound(t: np.ndarray, vecs: np.ndarray,
+                 memo: dict[bytes, tuple[float, _Face | None]]) -> tuple[float, np.ndarray, _Face | None]:
     """||beta||^2 of t's support weights in the frame that diagonalizes m.
 
     vecs holds eigenvectors of the moment matrix of t as columns; rotating
     t by the unitary vecs^* is a move inside its orbit.  The support is cut
     at SUPPORT_TOL of the largest coefficient, so the result bounds the
     stratum energy of the rotated tensor with its sub-cut coefficients
-    dropped.  memo holds it per support mask.
+    dropped.  Returns the bound, the rotated tensor and its minimal-face
+    truncation: (coefficient mask of Wolfe's active weights, integer
+    exponents a) when an exact degeneration witness exists, else None.
+    memo holds bound and truncation per support mask.
     """
     rotated = _act_table(t, vecs, vecs.conj().T)
     rotated = 0.5 * (rotated + np.swapaxes(rotated, 0, 1))
     mags = np.abs(rotated)
-    key = (mags > SUPPORT_TOL * np.max(mags)).tobytes()
+    support = mags > SUPPORT_TOL * np.max(mags)
+    key = support.tobytes()
     if key not in memo:
-        point = min_norm_point([w.vector for w in support_weights(StructureTensor(rotated))]).point
-        memo[key] = float(point @ point)
-    return memo[key]
+        vectors = [w.diagonal for w in support_weights(StructureTensor(rotated))]
+        result = min_norm_point(vectors)
+        active = [int(i) for i in np.flatnonzero(result.coefficients)]
+        face = None
+        if len(active) < len(vectors):
+            beta = exact_min_norm_point(vectors, active)
+            exponents = None if beta is None else degeneration_witness(vectors, active, beta)
+            if exponents is not None:
+                a = np.asarray(exponents)
+                # <a, alpha_ij^k> = a_k - a_i - a_j vanishes exactly on the active weights
+                keep = support & (a[None, None, :] - a[:, None, None] - a[None, :, None] == 0)
+                face = (keep, exponents)
+        memo[key] = (float(result.point @ result.point), face)
+    bound, face = memo[key]
+    return bound, rotated, face
+
+
+def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, floor: float, tol: float,
+                      memo: dict) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
+    """One read of the lower bound at the iterate t of energy e.
+
+    Returns the new running max of L, a stop reason (left_orbit,
+    certificate) or None, and on a certificate by truncation the pair
+    (unit-norm terminal table in t's frame, witness curve).
+    """
+    bound, rotated, face = _lower_bound(t, vecs, memo)
+    lower = max(lower, bound)
+    if e < lower - tol:
+        return lower, "left_orbit", None
+    if lower - floor <= tol:
+        return lower, None, None
+    if abs(e - lower) <= tol:
+        return lower, "certificate", None
+    if face is not None:
+        keep, exponents = face
+        nu = StructureTensor(np.where(keep, rotated, 0.0))
+        report = soliton_check(nu, pair_derivations=False)
+        if report.is_soliton and abs(report.energy - lower) <= tol:
+            back = _act_table(nu.table / nu.norm, vecs.conj().T, vecs)
+            back = 0.5 * (back + np.swapaxes(back, 0, 1))
+            return lower, "certificate", (back, DegenerationCurve(tuple(-x for x in exponents)))
+    return lower, None, None
 
 
 def _is_power_of_two(k: int) -> bool:
@@ -133,24 +179,38 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
     stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
-    - certificate: |E - L| <= energy_plateau_tol with L above the floor
-      1/n by more than energy_plateau_tol.  L is the running max of
-      ||beta||^2 over the support weights (cut at SUPPORT_TOL) of the
-      iterate in an eigenbasis of m, read at the start, after each step
-      whose count is a power of two and on each plateau step whose count is
-      a power of two, and memoized per support mask.  On the orbit of mu,
-      L <= stratum energy <= E up to that cut, so E is at its stratum's
-      floor.  Roundoff can still carry an iterate off its orbit, to an
-      energy below the stratum energy of mu; the certificate sees that only
-      when an earlier L exceeds E (then it cannot close).  Such iterates end
-      with their support filled and L at 1/n, a bound every tensor meets
-      (tr m = -1), so a bound at the floor never stops the flow;
+    - certificate: the stratum energy is pinned from both sides at
+      energy_plateau_tol, with the lower side L above the floor 1/n by more
+      than that tolerance.  L is the running max of ||beta||^2 over the
+      support weights (cut at SUPPORT_TOL) of the iterate in an eigenbasis
+      of m, read at the start, after each step whose count is a power of
+      two and on each plateau step whose count is a power of two, and
+      memoized per support mask.  On the orbit of mu, L <= stratum energy,
+      up to that cut.  The upper side is either E itself (|E - L| within
+      the tolerance) or a soliton nu in the orbit closure with |E(nu) - L|
+      within it; then nu is the terminal and FlowTrace.witness holds the
+      degeneration.  nu is the truncation of the rotated iterate to the
+      coefficients whose weights Wolfe keeps with positive weight (the
+      minimal face that contains beta); it is tried only when an integer
+      exponent vector, checked exactly, is zero on those weights and
+      positive on every other supported weight, so that the one-parameter
+      subgroup it defines degenerates the iterate to nu.  The witness thus
+      certifies A_4_63 at step 0.  It does not cover starts whose
+      truncation is not yet critical, such as torus or generic starts of
+      A_4_63: those still flow until E meets L or the plateau rule stops
+      them.  A bound at the floor never stops the flow, because iterates
+      that roundoff carries off their orbit end there with their support
+      filled, and every tensor meets it (tr m = -1);
     - plateau: plateau_window steps in a row lowered E by less than
       energy_plateau_tol;
     - line_search_floor: no float64 decrease possible;
-    - max_steps: the only non-converged outcome.
+    - left_orbit: E < L - energy_plateau_tol at a read or at the stop.  The
+      flow cannot end below the stratum energy of its start, so roundoff
+      has carried the iterate off the orbit of mu (up to the support cut);
+    - max_steps: the step budget ran out.
 
-    The terminal type is snapped at type_snap_tol, coarser than the soliton
+    converged is False for left_orbit and max_steps.  The terminal type is
+    snapped at type_snap_tol, coarser than the soliton
     default because the limit is only approached at the flow's own accuracy;
     the candidate labels are spaced at least 1/(63*64) apart, so the coarser
     snap stays unambiguous.
@@ -171,16 +231,18 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
     grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
     step = opts.step0
     plateau = 0
-    memo: dict[bytes, float] = {}
-    lower = _lower_bound(t, vecs, memo)
+    memo: dict = {}
+    tol = opts.energy_plateau_tol
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
-    stop_reason = None
-    while steps_taken < opts.max_steps:
-        gn = grad_norms[-1]
-        if gn <= opts.grad_tol:
-            stop_reason = "gradient"
+    lower, stop_reason, witness = _read_certificate(t, vecs, e, -math.inf, floor, tol, memo)
+    if grad_norms[0] <= opts.grad_tol:
+        stop_reason, witness = "gradient", None
+    while stop_reason is None:
+        if steps_taken >= opts.max_steps:
+            stop_reason = "max_steps"
             break
+        gn = grad_norms[-1]
         accepted = False
         spread = float(np.max(np.abs(evals))) or 1.0
         step = min(step, MAX_LOG_STRETCH / spread)
@@ -195,7 +257,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         if not accepted:
             stop_reason = "line_search_floor"
             break
-        plateau = plateau + 1 if abs(e - e2) < opts.energy_plateau_tol else 0
+        plateau = plateau + 1 if abs(e - e2) < tol else 0
         t, e, direction = cand, e2, direction2
         evals, vecs = np.linalg.eigh(direction)
         steps_taken += 1
@@ -203,20 +265,21 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
         step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
-            lower = max(lower, _lower_bound(t, vecs, memo))
-            if lower - floor > opts.energy_plateau_tol and abs(e - lower) <= opts.energy_plateau_tol:
-                stop_reason = "certificate"
+            lower, stop_reason, witness = _read_certificate(t, vecs, e, lower, floor, tol, memo)
+            if stop_reason is not None:
                 break
         if plateau >= opts.plateau_window:
             stop_reason = "plateau"
-            break
-    if stop_reason is None:
-        stop_reason = "max_steps"
+        elif grad_norms[-1] <= opts.grad_tol:
+            stop_reason = "gradient"
+    if e < lower - tol:
+        stop_reason = "left_orbit"
 
-    terminal = StructureTensor(t)
+    converged = stop_reason not in ("left_orbit", "max_steps")
+    terminal = StructureTensor(t if witness is None else witness[0])
     report = soliton_check(terminal)
     ttype = None
-    if stop_reason != "max_steps":
+    if converged:
         try:
             ttype = soliton_type(terminal, tol=max(10 * report.soliton_residual, 1e-12),
                                  snap_tol=type_snap_tol)
@@ -227,11 +290,13 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         grad_norms=grad_norms,
         terminal=terminal,
         steps_taken=steps_taken,
-        converged=stop_reason != "max_steps",
+        converged=converged,
         stop_reason=stop_reason,
         terminal_report=report,
         terminal_type=ttype,
         lower_bound=lower,
+        terminal_energy=e if witness is None else report.energy,
+        witness=None if witness is None else witness[1],
     )
 
 

@@ -100,12 +100,15 @@ def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions(),
     manifolds, and the discretized flow from a *generic-position* start can
     fall into a more generic (lower-energy) stratum; labels are reliable for
     near-critical starts, for unitary images of them, and on the open
-    minimal stratum.
+    minimal stratum.  Raises RuntimeError when the flow does not converge,
+    which includes a flow whose energy falls below its own lower bound
+    (stop_reason left_orbit).
     """
     trace = run_flow(mu, opts, type_snap_tol=label_tol)
     if not trace.converged:
         raise RuntimeError(
-            f"flow did not converge in {opts.max_steps} steps (terminal energy {trace.terminal_energy!r})"
+            f"flow stopped on {trace.stop_reason} after {trace.steps_taken} steps "
+            f"(terminal energy {trace.terminal_energy!r}, lower bound {trace.lower_bound!r})"
         )
     evals = np.sort(np.linalg.eigvalsh(trace.terminal_report.m))
     spectrum = snap_spectrum(evals, tol=label_tol)

@@ -7,17 +7,25 @@ of the supported weights is beta_mu; its KKT certificate
 the W_beta membership test.  This module sits below the flow, which reads
 ||beta||^2 in an eigenbasis of the moment matrix as a lower bound on the
 stratum energy, and below the stratification built on the flow.
+
+Wolfe's active set also fixes beta exactly: exact_min_norm_point re-solves
+it in rationals and checks the KKT conditions, and degeneration_witness
+turns it into an integer one-parameter subgroup that degenerates the tensor
+to the coefficients of that face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import floor, lcm
 
 import numpy as np
 
 from .algebra import StructureTensor
 
-__all__ = ["WeightVector", "MinNormPoint", "support_weights", "min_norm_point", "certificate_gap"]
+__all__ = ["WeightVector", "MinNormPoint", "support_weights", "min_norm_point", "certificate_gap",
+           "exact_min_norm_point", "degeneration_witness"]
 
 SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the largest one
 
@@ -130,3 +138,112 @@ def min_norm_point(vectors, improve_tol: float = 1e-14, max_major: int = 1000) -
         certificate_gap=certificate_gap(x, pts),
         major_cycles=majors,
     )
+
+
+# --- exact arithmetic over Wolfe's active set --------------------------------
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Gauss-Jordan elimination over the rationals; None when the matrix is singular."""
+    size = len(rows)
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [x / head for x in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[size] for row in aug]
+
+
+def _affine_min_norm(vectors) -> tuple[list[Fraction], list[Fraction]] | None:
+    """Least-norm point of the affine hull of vectors and its affine coefficients, exactly.
+
+    Solves the bordered Gram system [G 1; 1^T 0] (lam, r) = (0, 1); None
+    when the vectors are affinely dependent.
+    """
+    k = len(vectors)
+    rows = [[Fraction(_dot(u, v)) for v in vectors] + [Fraction(1)] for u in vectors]
+    rows.append([Fraction(1)] * k + [Fraction(0)])
+    sol = _solve(rows, [Fraction(0)] * k + [Fraction(1)])
+    if sol is None:
+        return None
+    lam = sol[:k]
+    point = [sum((c * v[i] for c, v in zip(lam, vectors)), Fraction(0)) for i in range(len(vectors[0]))]
+    return point, lam
+
+
+def exact_min_norm_point(vectors, active) -> tuple[Fraction, ...] | None:
+    """The min-norm point of conv(vectors) solved exactly over Wolfe's active set.
+
+    vectors are integer tuples and active the indices Wolfe kept with
+    positive weight.  The bordered system puts <beta, v> = ||beta||^2 on
+    every active v; the result is returned only when it is also certified
+    as the min-norm point: its barycentric coefficients over active are
+    positive and <beta, v> >= ||beta||^2 holds for every vector.  None
+    otherwise (a float active set that is not the optimal one).
+    """
+    solved = _affine_min_norm([vectors[i] for i in active])
+    if solved is None:
+        return None
+    beta, lam = solved
+    norm = _dot(beta, beta)
+    if min(lam) <= 0 or any(_dot(v, beta) < norm for v in vectors):
+        return None
+    return tuple(beta)
+
+
+def degeneration_witness(vectors, active, beta) -> tuple[int, ...] | None:
+    """Integer a with <a, v> = 0 on the active weights and <a, v> > 0 on all others.
+
+    vectors are weight diagonals (each sums to -1), active Wolfe's active
+    set and beta its exact min-norm point.  The basis change diag(s^a)
+    scales the coefficient of weight v by s^{<a, v>}, so as s -> 0 it
+    degenerates the tensor to its coefficients on the active weights.  The
+    construction: a0, the min-norm point of the other weights on the
+    hyperplane <v, beta> = ||beta||^2 projected off span(active), separates
+    them; adding N (beta + ||beta||^2 1), which vanishes on that hyperplane
+    and is positive off it, separates the rest.  The result is verified in
+    integers.  When the active set is smaller than the minimal face that
+    contains beta (affinely dependent weights), no such a exists and the
+    answer is None.
+    """
+    norm = _dot(beta, beta)
+    face = [vectors[i] for i in active]
+    kept = set(active)
+    others = [v for i, v in enumerate(vectors) if i not in kept]
+    plane = [v for v in others if _dot(v, beta) == norm]
+    a0 = [Fraction(0)] * len(beta)
+    if plane:
+        gram = [[Fraction(_dot(u, w)) for w in face] for u in face]
+        projected = []
+        for v in plane:
+            coef = _solve(gram, [Fraction(_dot(u, v)) for u in face])
+            if coef is None:
+                return None
+            projected.append([x - sum((c * u[i] for c, u in zip(coef, face)), Fraction(0))
+                              for i, x in enumerate(v)])
+        inner = min_norm_point([[float(x) for x in p] for p in projected])
+        corral = [projected[i] for i in np.flatnonzero(inner.coefficients)]
+        solved = _affine_min_norm(corral)
+        if solved is None:
+            return None
+        a0 = solved[0]
+    shift = [b + norm for b in beta]   # <shift, v> = <beta, v> - ||beta||^2 when sum(v) = -1
+    ratios = [-_dot(a0, v) / _dot(shift, v) for v in others if _dot(shift, v) > 0]
+    scale = max(floor(max(ratios, default=0)) + 1, 1)
+    a = [x + scale * s for x, s in zip(a0, shift)]
+    den = lcm(*(x.denominator for x in a))
+    exponents = tuple(int(x * den) for x in a)
+    if any(_dot(exponents, v) != 0 for v in face) or any(_dot(exponents, v) <= 0 for v in others):
+        return None
+    return exponents

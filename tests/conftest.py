@@ -42,6 +42,20 @@ def oracle_min_norm(points, grid: int = 6, max_iters: int = 20000) -> np.ndarray
     return pts.T @ lam
 
 
+def criterion_3_starts():
+    """Acceptance criterion 3's 200 generic starts (rng 3), with their catalog entries."""
+    from jordanflow.algebra import act
+    from jordanflow.catalog import builtin, names
+    from jordanflow.sampling import random_group_element
+
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        pool = names(n)
+        entry = builtin(pool[int(rng.integers(len(pool)))])
+        yield entry, act(random_group_element(rng, n, 50.0), entry.tensor)
+
+
 def eig_expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential through eigendecomposition (random matrices are diagonalizable)."""
     evals, vecs = np.linalg.eig(a)

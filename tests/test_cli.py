@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from jordanflow import cli
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
+from jordanflow.stratify import stratum_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,28 +97,45 @@ def test_invariants_subcommand(capsys):
     assert "is_nilpotent     True" in out
 
 
-def test_flow_subcommand_with_trace(tmp_path, capsys):
-    trace = tmp_path / "trace.csv"
-    code, out, _ = run_cli(capsys, "flow", "--catalog", "A_4_63", "--trace", str(trace))
-    assert code == 0
-    assert "terminal energy  1.5" in out
-    assert "(1<2<3<4;1,1,1,1)" in out
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "step,energy,grad_norm"
-    assert len(lines) > 100
-
-
-def test_flow_reports_its_certificate(tmp_path, capsys):
+def torus_start_file(tmp_path) -> str:
+    """A torus start of A_4_26: it takes 36 steps to the certificate."""
     start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
     path = tmp_path / "torus.json"
     path.write_text(dump_tensor(start))
-    code, out, _ = run_cli(capsys, "flow", str(path), "--json")
+    return str(path)
+
+
+def test_flow_subcommand_with_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path), "--trace", str(trace))
+    assert code == 0
+    assert "steps            36" in out
+    assert "terminal energy  0.454545454545" in out
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "step,energy,grad_norm"
+    assert len(lines) == 36 + 2
+    energies = [float(line.split(",")[1]) for line in lines[1:]]
+    assert energies == sorted(energies, reverse=True)
+
+
+def test_flow_certifies_a_4_63_by_its_witness(capsys):
+    code, out, _ = run_cli(capsys, "flow", "--catalog", "A_4_63")
+    assert code == 0
+    assert "steps            0" in out
+    assert "converged        True (certificate)" in out
+    assert "terminal energy  1.5\n" in out
+    assert "(1<2<3<4;1,1,1,1)" in out
+
+
+def test_flow_reports_its_certificate(tmp_path, capsys):
+    path = torus_start_file(tmp_path)
+    code, out, _ = run_cli(capsys, "flow", path, "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["stop_reason"] == "certificate"
     assert payload["lower_bound"] == pytest.approx(5 / 11, abs=1e-12)
     assert payload["terminal_energy"] - payload["lower_bound"] <= 1e-12
-    code, out, _ = run_cli(capsys, "flow", str(path))
+    code, out, _ = run_cli(capsys, "flow", path)
     assert code == 0
     assert "converged        True (certificate)" in out
     assert "lower bound      0.454545454545" in out
@@ -124,10 +143,31 @@ def test_flow_reports_its_certificate(tmp_path, capsys):
     assert "lower bound      5\n" in out   # read at the start, which is critical
 
 
-def test_flow_nonconvergence_is_compute_error(capsys):
-    code, out, _ = run_cli(capsys, "flow", "--catalog", "A_4_63", "--max-steps", "3")
+def test_flow_nonconvergence_is_compute_error(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path), "--max-steps", "3")
     assert code == 1
-    assert "converged        False" in out
+    assert "steps            3" in out
+    assert "converged        False (max_steps)" in out
+
+
+def test_flow_that_leaves_its_orbit_is_compute_error(tmp_path, capsys):
+    # criterion 3's start 29 (A_3_18, stratum energy 3) reads L = 3, then
+    # roundoff carries it below: it stops after 32 steps at E = 0.336
+    from conftest import criterion_3_starts
+
+    entry, start = next(itertools.islice(criterion_3_starts(), 29, None))
+    assert entry.name == "A_3_18"
+    path = tmp_path / "fall.json"
+    path.write_text(dump_tensor(start))
+    code, out, _ = run_cli(capsys, "flow", str(path), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["stop_reason"] == "left_orbit"
+    assert payload["converged"] is False
+    assert payload["terminal_energy"] < payload["lower_bound"] - 1e-12
+    assert payload["lower_bound"] == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(RuntimeError, match="left_orbit"):
+        stratum_of(start)
 
 
 def test_catalog_list_and_export_round_trip(tmp_path, capsys):

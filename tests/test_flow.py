@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jordanflow import flow
-from jordanflow.algebra import act
-from jordanflow.catalog import builtin, heisenberg, names
+from jordanflow.algebra import StructureTensor, act, derivation_algebra
+from jordanflow.catalog import builtin, heisenberg
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, clean_limit, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
@@ -65,11 +65,14 @@ def test_torus_starts_stop_on_the_certificate(rng, name):
         assert trace.steps_taken <= 60
         assert trace.terminal_energy == pytest.approx(table, abs=1e-12)
         assert trace.lower_bound == pytest.approx(table, abs=1e-12)
+        assert trace.witness is None  # E itself met L
 
 
-def test_non_distinguished_flow_keeps_its_plateau_stop(monkeypatch):
-    # A_4_63's flow ends 1.9e-9 above its floor: the certificate reads the
-    # stratum energy 3/2 but never closes, so the plateau rule still stops it
+def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch):
+    # A_4_63's three support weights all lie on <alpha, beta> = ||beta||^2,
+    # but Wolfe keeps two of them; truncating to those gives e1e2 = e3,
+    # e1e3 = e4, a soliton at L = 3/2 in the orbit closure, so the flow
+    # needs no step (it used to plateau after 8,946 steps 1.9e-9 above 3/2)
     calls = []
 
     def counting(vectors):
@@ -78,30 +81,69 @@ def test_non_distinguished_flow_keeps_its_plateau_stop(monkeypatch):
 
     monkeypatch.setattr(flow, "min_norm_point", counting)
     trace = run_flow(builtin("A_4_63").tensor)
-    assert trace.stop_reason == "plateau"
-    assert trace.steps_taken == 8946
+    assert trace.stop_reason == "certificate"
+    assert trace.converged
+    assert trace.steps_taken == 0
+    assert trace.terminal_energy == pytest.approx(1.5, abs=1e-12)
     assert trace.lower_bound == pytest.approx(1.5, abs=1e-12)
-    assert trace.terminal_energy - trace.lower_bound > FlowOptions().energy_plateau_tol
-    assert 1 <= len(calls) <= 20  # memoized per support
+    assert trace.terminal_report.soliton_residual < 1e-12
+    assert derivation_algebra(trace.terminal)[0] == 5
+    assert trace.witness is not None
+    assert all(isinstance(a, int) for a in trace.witness.exponents)
+    assert calls == [3]
+
+
+def test_witness_degenerates_the_rotated_start_to_the_terminal():
+    mu = builtin("A_4_63").tensor
+    trace = run_flow(mu)
+    t = mu.table / mu.norm
+    _, direction = flow._energy_direction(t)
+    _, vecs = np.linalg.eigh(direction)
+    _, rotated, _ = flow._lower_bound(t, vecs, {})
+    target = act(vecs.conj().T, trace.terminal)   # the terminal in the frame of the witness
+    last = np.inf
+    for s in (0.7, 0.5, 0.3):
+        dist = np.linalg.norm(apply_curve(StructureTensor(rotated), trace.witness, s).normalized().table
+                              - target.table)
+        assert dist < last
+        last = dist
+    assert last < 1e-9
+
+
+def test_no_witness_no_certificate_for_a_4_63(monkeypatch):
+    # without an exactly checked exponent vector the truncation is never tried
+    monkeypatch.setattr(flow, "degeneration_witness", lambda *args: None)
+    trace = run_flow(builtin("A_4_63").tensor, FlowOptions(max_steps=3))
+    assert trace.stop_reason == "max_steps"
+    assert trace.witness is None
+    assert not trace.converged
 
 
 def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
     # acceptance criterion 3's generic starts: roundoff carries many of these
     # flows off their orbit, down to the floor 1/n, where every tensor's
-    # bound lies; none of them may stop as certified
-    rng = np.random.default_rng(3)
-    certified = 0
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        pool = names(n)
-        entry = builtin(pool[int(rng.integers(len(pool)))])
-        trace = run_flow(act(random_group_element(rng, n, 50.0), entry.tensor))
+    # bound lies; none of them may stop as certified, and the nine that end
+    # below their own lower bound report it
+    from conftest import criterion_3_starts
+
+    tol = FlowOptions().energy_plateau_tol
+    certified = left = 0
+    for entry, start in criterion_3_starts():
+        trace = run_flow(start)
         assert trace.lower_bound <= float(entry.expected_energy) + 1e-12
         if trace.stop_reason == "certificate":
             certified += 1
             assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-9)
-            assert trace.lower_bound > 1.0 / n
-    assert certified >= 20
+            assert trace.lower_bound > 1.0 / entry.dim
+            assert trace.witness is None
+        if trace.terminal_energy < trace.lower_bound - tol:
+            assert trace.stop_reason == "left_orbit"
+        if trace.stop_reason == "left_orbit":
+            left += 1
+            assert not trace.converged
+            assert trace.terminal_type is None
+    assert certified == 25
+    assert left == 9
 
 
 def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):

@@ -18,6 +18,7 @@ from jordanflow.stratify import (
     stratum_of,
     support_weights,
 )
+from jordanflow.weights import degeneration_witness, exact_min_norm_point
 
 
 def test_support_weights_examples():
@@ -81,6 +82,84 @@ def test_min_norm_point_on_integer_weights_against_the_oracle(pts, seed):
     again = min_norm_point(mixed)
     assert again.certificate_gap >= -1e-9
     assert np.allclose(again.point, res.point, atol=1e-9)
+
+
+def _active(res) -> list[int]:
+    return [int(i) for i in np.flatnonzero(res.coefficients)]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@CASES
+@given(pts=weight_sets)
+def test_exact_min_norm_point_matches_wolfe_and_passes_exact_kkt(pts):
+    res = min_norm_point(pts)
+    beta = exact_min_norm_point([tuple(p) for p in pts], _active(res))
+    assert beta is not None
+    assert all(isinstance(b, Fraction) for b in beta)
+    assert np.allclose([float(b) for b in beta], res.point, rtol=0.0, atol=1e-12)
+    norm = _dot(beta, beta)
+    assert all(_dot(p, beta) >= norm for p in pts)
+    assert all(_dot(pts[i], beta) == norm for i in _active(res))
+
+
+tensor_weight_sets = st.integers(min_value=2, max_value=4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 3),
+                       min_size=1, max_size=6).map(
+        lambda triples: sorted({tuple(int(x == k) - int(x == i) - int(x == j) for x in range(n))
+                                for i, j, k in triples})))
+
+
+@CASES
+@given(vectors=tensor_weight_sets)
+def test_degeneration_witness_separates_the_active_weights(vectors):
+    res = min_norm_point(vectors)
+    active = _active(res)
+    beta = exact_min_norm_point(vectors, active)
+    assert beta is not None
+    exponents = degeneration_witness(vectors, active, beta)
+    if exponents is not None:
+        assert all(isinstance(a, int) for a in exponents)
+        assert all(_dot(exponents, vectors[i]) == 0 for i in active)
+        assert all(_dot(exponents, v) > 0 for i, v in enumerate(vectors) if i not in active)
+
+
+def test_degeneration_witness_of_a_4_63():
+    vectors = [w.diagonal for w in support_weights(builtin("A_4_63").tensor)]
+    assert vectors == [(-1, -1, 1, 0), (-1, 0, -1, 1), (0, -2, 0, 1)]
+    res = min_norm_point(vectors)
+    assert _active(res) == [0, 1]   # the third weight is on the hyperplane, off the minimal face
+    beta = exact_min_norm_point(vectors, [0, 1])
+    assert beta == (-1, Fraction(-1, 2), 0, Fraction(1, 2))
+    assert _dot(vectors[2], beta) == _dot(beta, beta)
+    exponents = degeneration_witness(vectors, [0, 1], beta)
+    assert [_dot(exponents, v) for v in vectors][:2] == [0, 0]
+    assert _dot(exponents, vectors[2]) > 0
+
+
+def test_no_witness_when_the_active_set_is_smaller_than_the_minimal_face():
+    # a square face: beta = (0, -1/2, 0, -1/2) is the midpoint of both
+    # diagonals, so it lies inside the square, but Wolfe keeps only one
+    # diagonal.  No exponent vector vanishes on that diagonal and is positive
+    # on the other two corners (they sum to the same point), and truncating
+    # to two corners would leave the orbit closure
+    square = [(-1, -1, 1, 0), (0, -1, 0, 0), (1, 0, -1, -1), (0, 0, 0, -1)]
+    res = min_norm_point(square)
+    active = _active(res)
+    assert len(active) == 2
+    beta = exact_min_norm_point(square, active)
+    assert beta == (0, Fraction(-1, 2), 0, Fraction(-1, 2))
+    assert all(_dot(v, beta) == _dot(beta, beta) for v in square)
+    assert degeneration_witness(square, active, beta) is None
+
+
+def test_exact_min_norm_point_rejects_a_wrong_active_set():
+    vectors = [(-1, 0), (0, -1), (-2, 1)]
+    assert exact_min_norm_point(vectors, [0, 1]) == (Fraction(-1, 2), Fraction(-1, 2))
+    assert exact_min_norm_point(vectors, [0]) is None      # (0, -1) violates KKT
+    assert exact_min_norm_point(vectors, [0, 2]) is None   # affine minimizer leaves the segment
 
 
 def test_min_norm_point_examples():
