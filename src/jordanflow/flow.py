@@ -100,7 +100,7 @@ def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float)
 _Face = tuple[np.ndarray, tuple[int, ...]]   # coefficient mask of the kept weights, exponents a
 
 
-def _lower_bound(t: np.ndarray, vecs: np.ndarray,
+def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
                  memo: dict[bytes, tuple[float, _Face | None]]) -> tuple[float, np.ndarray, _Face | None]:
     """||beta||^2 of t's support weights in the frame that diagonalizes m.
 
@@ -108,10 +108,10 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray,
     t by the unitary vecs^* is a move inside its orbit.  The support is cut
     at SUPPORT_TOL of the largest coefficient, so the result bounds the
     stratum energy of the rotated tensor with its sub-cut coefficients
-    dropped.  Returns the bound, the rotated tensor and its minimal-face
-    truncation: (coefficient mask of Wolfe's active weights, integer
-    exponents a) when an exact degeneration witness exists, else None.
-    memo holds bound and truncation per support mask.
+    dropped.  Returns the bound, the rotated tensor and, for a bound above
+    `above`, its minimal-face truncation: (coefficient mask of Wolfe's
+    active weights, integer exponents a) when an exact degeneration witness
+    exists, else None.  memo holds bound and truncation per support mask.
     """
     rotated = _act_table(t, vecs, vecs.conj().T)
     rotated = 0.5 * (rotated + np.swapaxes(rotated, 0, 1))
@@ -121,9 +121,12 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray,
     if key not in memo:
         vectors = [w.diagonal for w in support_weights(StructureTensor(rotated))]
         result = min_norm_point(vectors)
+        bound = float(result.point @ result.point)
         active = [int(i) for i in np.flatnonzero(result.coefficients)]
         face = None
-        if len(active) < len(vectors):
+        # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
+        # nothing can certify, so the exact work is skipped there
+        if bound > above and len(active) < len(vectors):
             beta = exact_min_norm_point(vectors, active)
             exponents = None if beta is None else degeneration_witness(vectors, active, beta)
             if exponents is not None:
@@ -131,7 +134,7 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray,
                 # <a, alpha_ij^k> = a_k - a_i - a_j vanishes exactly on the active weights
                 keep = support & (a[None, None, :] - a[:, None, None] - a[None, :, None] == 0)
                 face = (keep, exponents)
-        memo[key] = (float(result.point @ result.point), face)
+        memo[key] = (bound, face)
     bound, face = memo[key]
     return bound, rotated, face
 
@@ -144,7 +147,7 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
     certificate) or None, and on a certificate by truncation the pair
     (unit-norm terminal table in t's frame, witness curve).
     """
-    bound, rotated, face = _lower_bound(t, vecs, memo)
+    bound, rotated, face = _lower_bound(t, vecs, floor + tol, memo)
     lower = max(lower, bound)
     if e < lower - tol:
         return lower, "left_orbit", None

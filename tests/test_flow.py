@@ -99,7 +99,7 @@ def test_witness_degenerates_the_rotated_start_to_the_terminal():
     t = mu.table / mu.norm
     _, direction = flow._energy_direction(t)
     _, vecs = np.linalg.eigh(direction)
-    _, rotated, _ = flow._lower_bound(t, vecs, {})
+    _, rotated, _ = flow._lower_bound(t, vecs, 0.25, {})
     target = act(vecs.conj().T, trace.terminal)   # the terminal in the frame of the witness
     last = np.inf
     for s in (0.7, 0.5, 0.3):
