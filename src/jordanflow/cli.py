@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 computation failure (non-convergence, table
-mismatch), 2 usage or input errors.
+Exit codes: 0 success, 1 computation failure (non-convergence, a flow
+that leaves its orbit, table mismatch), 2 usage or input errors.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ On the orbit the energy is squeezed by the stratum energy (Kirwan-Ness):
 where beta_{k.x} is Wolfe's min-norm point of the support weights of k.x.
 The flow reads the lower bound in an eigenbasis of the moment matrix and
 stops once the two sides meet at float resolution above the floor 1/n.
+The upper side may also be a soliton in the orbit closure: the truncation
+of the rotated iterate to Wolfe's active weights, reached by an integer
+one-parameter subgroup that is checked exactly.  A flow whose energy
+falls below its lower bound has left its orbit and is reported as such.
 """
 
 from __future__ import annotations
