@@ -244,10 +244,13 @@ def test_apply_curve_a463_witness():
 
 
 def test_clean_limit_extracts_pattern():
-    trace = run_flow(builtin("A_4_63").tensor)
-    cleaned = clean_limit(trace.terminal)
-    kept = [(i, j, k) for i, j, k, _ in cleaned.products(tol=1e-9)]
-    assert kept == [(1, 2, 3), (1, 3, 4)]
+    # A_4_63 part-way down its witness curve: e2e2 = e4 has decayed to 2^-20
+    # (the flow terminal itself is now the exact limit, which clean_limit keeps)
+    mu = apply_curve(builtin("A_4_63").tensor, DegenerationCurve((-9, 2, -7, -16)), 0.5)
+    for start in (mu, run_flow(builtin("A_4_63").tensor).terminal):
+        cleaned = clean_limit(start)
+        kept = [(i, j, k) for i, j, k, _ in cleaned.products(tol=1e-9)]
+        assert kept == [(1, 2, 3), (1, 3, 4)]
     # exact solitons are left alone
     for name in ("A_4_16", "A_4_26", "A_4_53"):
         mu = builtin(name).tensor
