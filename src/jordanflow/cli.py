@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-9, help="gradient norm tolerance")
     p.add_argument("--max-steps", type=int, default=200_000)
-    p.add_argument("--trace", metavar="CSV", help="write step,energy,grad_norm rows")
+    p.add_argument("--trace", metavar="CSV", help="write step,energy,grad_norm rows; a witness stop "
+                   "adds a last row at the same step for its limit")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("stratify", help="support weights and the min-norm point beta_mu")

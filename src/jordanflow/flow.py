@@ -25,11 +25,12 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
-from .moment import MomentReport, SolitonType, soliton_check, soliton_type
+from .moment import MomentReport, SolitonType, energy, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, min_norm_point,
                       support_weights)
@@ -72,10 +73,17 @@ class FlowTrace:
     witness: DegenerationCurve | None     # takes the last iterate, rotated into an eigenbasis of m, to nu
 
     def write_csv(self, path) -> None:
+        """One step,energy,grad_norm row per iterate; on a witness stop, one more at the same step for nu."""
+        rows = list(enumerate(zip(self.energies, self.grad_norms)))
+        if self.witness is not None:
+            t = self.terminal.table / self.terminal.norm
+            _, direction = _energy_direction(t)
+            rows.append((self.steps_taken, (self.terminal_energy,
+                                            float(np.linalg.norm(_inf_act_table(direction, t))))))
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["step", "energy", "grad_norm"])
-            for step, (e, g) in enumerate(zip(self.energies, self.grad_norms)):
+            for step, (e, g) in rows:
                 writer.writerow([step, repr(e), repr(g)])
 
 
@@ -101,7 +109,19 @@ def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float)
     return 0.5 * (moved + np.swapaxes(moved, 0, 1))  # keep float symmetry exact
 
 
-_Face = tuple[np.ndarray, tuple[int, ...]]   # coefficient mask of the kept weights, exponents a
+@dataclass
+class _Face:
+    """Wolfe's active weights on one support mask: the coefficients they keep, and their witness."""
+
+    keep: np.ndarray              # coefficient mask of the active weights
+    vectors: list[tuple[int, ...]]
+    active: list[int]
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...] | None:
+        """Integer a, checked exactly, that degenerates the support to keep; None when none exists."""
+        beta = exact_min_norm_point(self.vectors, self.active)
+        return None if beta is None else degeneration_witness(self.vectors, self.active, beta)
 
 
 def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
@@ -113,9 +133,8 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
     at SUPPORT_TOL of the largest coefficient, so the result bounds the
     stratum energy of the rotated tensor with its sub-cut coefficients
     dropped.  Returns the bound, the rotated tensor and, for a bound above
-    `above`, its minimal-face truncation: (coefficient mask of Wolfe's
-    active weights, integer exponents a) when an exact degeneration witness
-    exists, else None.  memo holds bound and truncation per support mask.
+    `above` whose Wolfe active set is smaller than the support, that
+    active face, else None.  memo holds bound and face per support mask.
     """
     rotated = _act_table(t, vecs, vecs.conj().T)
     rotated = 0.5 * (rotated + np.swapaxes(rotated, 0, 1))
@@ -123,21 +142,19 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
     support = mags > SUPPORT_TOL * np.max(mags)
     key = support.tobytes()
     if key not in memo:
-        vectors = [w.diagonal for w in support_weights(StructureTensor(rotated))]
+        weights = support_weights(StructureTensor(rotated))
+        vectors = [w.diagonal for w in weights]
         result = min_norm_point(vectors)
         bound = float(result.point @ result.point)
         active = [int(i) for i in np.flatnonzero(result.coefficients)]
         face = None
         # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
-        # nothing can certify, so the exact work is skipped there
+        # nothing can certify, so no face is kept there
         if bound > above and len(active) < len(vectors):
-            beta = exact_min_norm_point(vectors, active)
-            exponents = None if beta is None else degeneration_witness(vectors, active, beta)
-            if exponents is not None:
-                a = np.asarray(exponents)
-                # <a, alpha_ij^k> = a_k - a_i - a_j vanishes exactly on the active weights
-                keep = support & (a[None, None, :] - a[:, None, None] - a[None, :, None] == 0)
-                face = (keep, exponents)
+            keep = np.zeros_like(support)
+            for i, j, k in (slot for idx in active for slot in weights[idx].triples):
+                keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
+            face = _Face(keep, vectors, active)
         memo[key] = (bound, face)
     bound, face = memo[key]
     return bound, rotated, face
@@ -149,7 +166,9 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
 
     Returns the new running max of L, a stop reason (left_orbit,
     certificate) or None, and on a certificate by truncation the pair
-    (unit-norm terminal table in t's frame, witness curve).
+    (unit-norm terminal table in t's frame, witness curve).  The truncation
+    nu is tested in floats first; the exact witness is worked out, once per
+    support mask, only for a nu that is a soliton at energy L.
     """
     bound, rotated, face = _lower_bound(t, vecs, floor + tol, memo)
     lower = max(lower, bound)
@@ -160,13 +179,12 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
     if abs(e - lower) <= tol:
         return lower, "certificate", None
     if face is not None:
-        keep, exponents = face
-        nu = StructureTensor(np.where(keep, rotated, 0.0))
-        report = soliton_check(nu, pair_derivations=False)
-        if report.is_soliton and abs(report.energy - lower) <= tol:
+        nu = StructureTensor(np.where(face.keep, rotated, 0.0))
+        if abs(energy(nu) - lower) <= tol and soliton_check(nu, pair_derivations=False).is_soliton \
+                and face.exponents is not None:
             back = _act_table(nu.table / nu.norm, vecs.conj().T, vecs)
             back = 0.5 * (back + np.swapaxes(back, 0, 1))
-            return lower, "certificate", (back, DegenerationCurve(tuple(-x for x in exponents)))
+            return lower, "certificate", (back, DegenerationCurve(tuple(-x for x in face.exponents)))
     return lower, None, None
 
 

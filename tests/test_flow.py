@@ -93,6 +93,22 @@ def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch):
     assert calls == [3]
 
 
+def test_non_distinguished_flow_keeps_its_plateau_stop():
+    # a torus start of A_4_63: its truncation to Wolfe's face is not yet
+    # critical, so no witness fires: L reads 3/2 but E approaches it only
+    # algebraically, and the plateau rule ends the flow above the tolerance
+    start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_63").tensor)
+    opts = FlowOptions()
+    trace = run_flow(start, opts)
+    assert trace.stop_reason == "plateau"
+    assert trace.converged
+    assert trace.steps_taken > opts.plateau_window
+    assert trace.lower_bound == pytest.approx(1.5, abs=1e-12)
+    assert trace.terminal_energy - trace.lower_bound > opts.energy_plateau_tol
+    assert trace.terminal_energy == pytest.approx(1.5, abs=1e-6)
+    assert trace.witness is None
+
+
 def test_witness_degenerates_the_rotated_start_to_the_terminal():
     mu = builtin("A_4_63").tensor
     trace = run_flow(mu)
@@ -202,6 +218,19 @@ def test_flow_trace_csv(tmp_path):
     assert rows[0] == ["step", "energy", "grad_norm"]
     assert len(rows) == len(trace.energies) + 1
     assert float(rows[1][1]) == trace.energies[0]
+
+
+def test_flow_trace_csv_ends_on_the_witness_limit(tmp_path):
+    trace = run_flow(builtin("A_4_63").tensor)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    with open(path) as handle:
+        rows = list(csv.reader(handle))
+    # the start, then its limit nu at the same step: no gradient step is taken
+    assert [row[0] for row in rows] == ["step", "0", "0"]
+    assert float(rows[1][1]) == trace.energies[0] == pytest.approx(1.64)
+    assert float(rows[2][1]) == trace.terminal_energy == pytest.approx(1.5, abs=1e-12)
+    assert float(rows[2][2]) < 1e-12
 
 
 def test_degeneration_energies_do_not_decrease():

@@ -1,20 +1,18 @@
 """Benchmark a change against its parent in alternating pairs and write a BENCH_<k>.json.
 
-usage: python3 tools/bench_pairs.py --parent REV --out BENCH_7.json \
-           [--workload tables:0:10 ...] [--seconds 40] [--traced]
+usage: python3 tools/bench_pairs.py --parent REV --out BENCH_7.json
 
-Each --workload is NAME:SEED:PAIRS (default: tables, flows and classify on
-seed 0, ten pairs each, and flows on seed 1, three pairs).  The parent is
-exported with `git archive` into a temporary directory; the change is this
-checkout as it stands.  Every pair runs perfbench/run.py once on each side
+It runs tables, flows and classify on seed 0, ten pairs each, and flows on
+seed 1, three pairs, each run as long as perfbench/run.py's default.  The
+parent is exported with `git archive` into a temporary directory; the
+change is this checkout as it stands.  Every pair runs perfbench/run.py once on each side
 with the same settings, and the side that runs first alternates from pair
 to pair.  For each end-to-end metric the record holds every run, each
 side's median and quartiles, the change's relative difference in the
 median, and the pairs in which the change was better (ties count for
-neither).  With --traced it also makes one short traced run per side and
-workload and keeps the per-layer counts, which come from set-up and the
-first round only.  The machine the runs were made
-on is recorded too.
+neither).  It also makes one traced run per side and workload and keeps
+the per-layer counts, which come from set-up and the first round only.
+The machine the runs were made on is recorded too.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_WORKLOADS = ("tables:0:10", "flows:0:10", "classify:0:10", "flows:1:3")
+WORKLOADS = (("tables", 0, 10), ("flows", 0, 10), ("classify", 0, 10), ("flows", 1, 3))   # name, seed, pairs
 
 
 def _git(*args: str) -> str:
@@ -43,9 +41,9 @@ def _export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def _run(root: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -68,12 +66,12 @@ def _machine() -> dict:
             "python": platform.python_version()}
 
 
-def _compare(workload: str, seed: int, pairs: int, seconds: int, sides: dict[str, Path]) -> dict:
+def _compare(workload: str, seed: int, pairs: int, sides: dict[str, Path]) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(_run(sides[side], workload, seed, seconds, 0))
+            runs[side].append(_run(sides[side], workload, seed, 0))
             print(f"{workload} seed {seed} pair {i + 1}/{pairs} {side}: "
                   f"{ {k: round(v['value'], 3) for k, v in runs[side][-1]['metrics'].items()} }",
                   file=sys.stderr, flush=True)
@@ -91,7 +89,7 @@ def _compare(workload: str, seed: int, pairs: int, seconds: int, sides: dict[str
             "pairs": pairs,
         }
     return {
-        "workload": workload, "seed": seed, "seconds": seconds, "metrics": metrics,
+        "workload": workload, "seed": seed, "metrics": metrics,
         "correct": all(r["correct"] for side in runs.values() for r in side),
         "attempted": {side: [r["attempted"] for r in runs[side]] for side in runs},
         "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
@@ -101,7 +99,7 @@ def _compare(workload: str, seed: int, pairs: int, seconds: int, sides: dict[str
 def _traced_counts(workload: str, seed: int, sides: dict[str, Path]) -> dict:
     counts = {}
     for side, root in sides.items():
-        layer = _run(root, workload, seed, 1, 1)["metrics"]   # counts come from set-up and round 0
+        layer = _run(root, workload, seed, 1)["metrics"]   # counts come from set-up and round 0
         counts[side] = {name: m["value"] for name, m in layer.items() if m["unit"] == "count"}
     return counts
 
@@ -110,15 +108,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent commit")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workload", action="append", help="NAME:SEED:PAIRS; may be repeated")
-    parser.add_argument("--seconds", type=int, default=40)
-    parser.add_argument("--traced", action="store_true", help="one traced run per side and workload")
     args = parser.parse_args()
 
-    specs = [spec.split(":") for spec in (args.workload or DEFAULT_WORKLOADS)]
     record = {
         "parent": _git("rev-parse", args.parent),
-        "change": _git("rev-parse", "HEAD") + (" + working tree" if _git("status", "--porcelain") else ""),
+        "change": _git("rev-parse", "HEAD")
+        + (" + working tree" if _git("status", "--porcelain", "--untracked-files=no") else ""),
         "command": " ".join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
         "machine": _machine(),
         "workloads": [],
@@ -126,10 +121,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp), "change": ROOT}
         _export(args.parent, sides["parent"])
-        for name, seed, pairs in specs:
-            entry = _compare(name, int(seed), int(pairs), args.seconds, sides)
-            if args.traced:
-                entry["traced_counts"] = _traced_counts(name, int(seed), sides)
+        for name, seed, pairs in WORKLOADS:
+            entry = _compare(name, seed, pairs, sides)
+            entry["traced_counts"] = _traced_counts(name, seed, sides)
             record["workloads"].append(entry)
             args.out.write_text(json.dumps(record, indent=1) + "\n")   # keep what is done so far
     return 0
