@@ -216,10 +216,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
       within it; then nu is the terminal and FlowTrace.witness holds the
       degeneration.  nu is the truncation of the rotated iterate to the
       coefficients whose weights Wolfe keeps with positive weight (the
-      minimal face that contains beta); it is tried only when an integer
+      minimal face that contains beta); it certifies only when an integer
       exponent vector, checked exactly, is zero on those weights and
       positive on every other supported weight, so that the one-parameter
-      subgroup it defines degenerates the iterate to nu.  The witness thus
+      subgroup it defines degenerates the iterate to nu.  That vector is
+      worked out only for a nu that passes the float checks.  The witness thus
       certifies A_4_63 at step 0.  It does not cover starts whose
       truncation is not yet critical, such as torus or generic starts of
       A_4_63: those still flow until E meets L or the plateau rule stops
