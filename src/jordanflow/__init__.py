@@ -47,7 +47,7 @@ from .moment import (
     soliton_check,
     soliton_type,
 )
-from .snap import RationalSnapError, snap_fraction
+from .snap import RationalSnapError
 from .stratify import (
     StratumLabel,
     beta_mu,

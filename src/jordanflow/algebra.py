@@ -498,18 +498,13 @@ def _spectral_projector(r: np.ndarray, cluster: np.ndarray, others: np.ndarray) 
     if outer <= 2 * inner + 1e-12:
         return None
     radius = 0.5 * (inner + outer)
-    n = r.shape[0]
     quad_points = 64
-    proj = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for q in range(quad_points):
-        z = center + radius * np.exp(2j * np.pi * (q + 0.5) / quad_points)
-        try:
-            resolvent = np.linalg.inv(z * eye - r)
-        except np.linalg.LinAlgError:
-            return None
-        proj += resolvent * (z - center)
-    return proj / quad_points
+    offsets = radius * np.exp(2j * np.pi * (np.arange(quad_points) + 0.5) / quad_points)
+    try:   # all 64 resolvents (z - r)^{-1} at once
+        resolvents = np.linalg.inv((center + offsets)[:, None, None] * np.eye(r.shape[0]) - r)
+    except np.linalg.LinAlgError:
+        return None
+    return np.einsum("q,qij->ij", offsets, resolvents) / quad_points
 
 
 def is_decomposable(mu: StructureTensor, tol: float = 1e-7, tries: int = 8, seed: int = 0) -> bool:

@@ -30,7 +30,8 @@ from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
 from .moment import sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
-from .stratify import StratumLabel, min_norm_point, stratum_of, support_weights
+from .stratify import label_from_fractions, min_norm_point, stratum_of, support_weights
+from .weights import exact_beta
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -173,23 +174,17 @@ def cmd_flow(args) -> int:
 def cmd_stratify(args) -> int:
     mu = _load_input(args)
     weights = support_weights(mu)
-    result = min_norm_point([w.diagonal for w in weights])
-    try:
-        label = StratumLabel.from_floats(result.point, snap_tol=1e-6)
-        beta_json = label.to_json_dict()
-    except RationalSnapError:
-        label = None
-        beta_json = {"beta": [repr(float(v)) for v in sorted(result.point)],
-                     "energy": repr(float(result.point @ result.point))}
+    vectors = [w.diagonal for w in weights]
+    result = min_norm_point(vectors)
+    label = label_from_fractions(exact_beta(vectors, result, result.point))
     payload = {
-        "beta": beta_json["beta"],
-        "energy": beta_json["energy"],
+        **label.to_json_dict(),
         "support": [list(t) for w in weights for t in w.triples],
         "certificate_gap": result.certificate_gap,
     }
     lines = [
-        f"beta_mu          {label if label else np.round(np.sort(result.point), 9).tolist()}",
-        f"||beta||^2       {beta_json['energy']}",
+        f"beta_mu          {label}",
+        f"||beta||^2       {payload['energy']}",
         f"support triples  {payload['support']}",
         f"certificate gap  {_fmt(result.certificate_gap)}",
     ]
@@ -321,12 +316,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (RuntimeError, RationalSnapError) as exc:   # an uncertified label is a computation failure
+        print(f"error: {exc}", file=sys.stderr)
+        return COMPUTE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
 
 
 if __name__ == "__main__":

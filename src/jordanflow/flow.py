@@ -67,10 +67,20 @@ class FlowTrace:
     converged: bool
     stop_reason: str                      # gradient | certificate | plateau | line_search_floor | left_orbit | max_steps
     terminal_report: MomentReport
-    terminal_type: SolitonType | None     # None when rational snapping fails
     lower_bound: float                    # running max of ||beta||^2 read by the certificate
     terminal_energy: float                # the last iterate's energy, or nu's on a witness stop
     witness: DegenerationCurve | None     # takes the last iterate, rotated into an eigenbasis of m, to nu
+
+    @cached_property
+    def terminal_type(self) -> SolitonType | None:
+        """moment.soliton_type of the terminal, gated at its own residual; None when not converged or
+        not certified.  Worked out on first access, so an unlabelled flow pays nothing."""
+        if not self.converged:
+            return None
+        try:
+            return soliton_type(self.terminal, tol=max(10 * self.terminal_report.soliton_residual, 1e-12))
+        except (RationalSnapError, ValueError):
+            return None
 
     def write_csv(self, path) -> None:
         """One step,energy,grad_norm row per iterate; on a witness stop, one more at the same step for nu."""
@@ -192,8 +202,7 @@ def _is_power_of_two(k: int) -> bool:
     return k > 0 and k & (k - 1) == 0
 
 
-def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
-             type_snap_tol: float = 1e-4) -> FlowTrace:
+def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrace:
     """Descend the energy from mu until the gradient dies or the energy is certified.
 
     Energies are non-increasing over accepted steps.  Steps move along the
@@ -235,11 +244,8 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
       has carried the iterate off the orbit of mu (up to the support cut);
     - max_steps: the step budget ran out.
 
-    converged is False for left_orbit and max_steps.  The terminal type is
-    snapped at type_snap_tol, coarser than the soliton
-    default because the limit is only approached at the flow's own accuracy;
-    the candidate labels are spaced at least 1/(63*64) apart, so the coarser
-    snap stays unambiguous.
+    converged is False for left_orbit and max_steps.  The terminal's exact
+    type, FlowTrace.terminal_type, is worked out only when it is read.
     """
     if mu.is_zero():
         raise ValueError("cannot flow the zero tensor")
@@ -304,13 +310,6 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
     converged = stop_reason not in ("left_orbit", "max_steps")
     terminal = StructureTensor(t if witness is None else witness[0])
     report = soliton_check(terminal)
-    ttype = None
-    if converged:
-        try:
-            ttype = soliton_type(terminal, tol=max(10 * report.soliton_residual, 1e-12),
-                                 snap_tol=type_snap_tol)
-        except (RationalSnapError, ValueError):
-            ttype = None
     return FlowTrace(
         energies=energies,
         grad_norms=grad_norms,
@@ -319,7 +318,6 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions(), *,
         converged=converged,
         stop_reason=stop_reason,
         terminal_report=report,
-        terminal_type=ttype,
         lower_bound=lower,
         terminal_energy=e if witness is None else report.energy,
         witness=None if witness is None else witness[1],

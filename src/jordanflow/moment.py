@@ -13,22 +13,16 @@ where c = -||M||^2 / ||mu||^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 import numpy as np
 
-from .algebra import StructureTensor, derivation_algebra, _inf_act_table, _moment_table
-from .snap import (
-    EIGENVALUE_GAP,
-    MAX_DENOMINATOR,
-    SNAP_TOL,
-    RationalSnapError,
-    format_fraction,
-    snap_spectrum,
-)
+from .algebra import StructureTensor, derivation_algebra, _act_table, _inf_act_table, _moment_table
+from .snap import format_fraction
+from .weights import SUPPORT_TOL, exact_beta, min_norm_point, support_weights
 
 SOLITON_TOL = 1e-8
 
@@ -209,31 +203,32 @@ def type_from_beta(beta_spectrum: list[tuple[Fraction, int]]) -> SolitonType:
     )
 
 
-def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL,
-                 snap_tol: float = SNAP_TOL, max_den: int = MAX_DENOMINATOR,
-                 gap: float = EIGENVALUE_GAP) -> SolitonType:
-    """Type of a soliton: snapped spectrum of m, rescaled to coprime integers.
+def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
+    """Type of a soliton: its exact beta, rescaled to coprime integers.
 
-    Raises ValueError when mu fails the soliton criterion and
-    RationalSnapError when an eigenvalue has no small rational nearby.
+    In an eigenbasis of m the min-norm point of the support weights is
+    exactly diag(m) = beta, so beta is Wolfe's point re-solved in rationals
+    over its active set and checked against the KKT conditions in integers
+    (weights.exact_beta).  The support is cut at the residual gate tol: at
+    residual r, a coefficient whose weight is off the plane
+    <alpha, beta> = ||beta||^2 is O(r).
+    The eigenvalues lambda of m do not choose beta; they certify it by the
+    snap distance max_i |lambda_i - beta_i| <= SNAP_DISTANCE, and
+    ||lambda - beta||^2 <= E - ||beta||^2 because <lambda, beta> >=
+    ||beta||^2.  No denominator is capped.  Raises ValueError when mu fails
+    the soliton criterion at tol and RationalSnapError when no exact beta is
+    certified.
     """
     report = soliton_check(mu, tol, pair_derivations=False)
     if not report.is_soliton:
         raise ValueError(
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"
         )
-    evals = np.sort(np.linalg.eigvalsh(report.m))
-    spectrum = snap_spectrum(evals, max_den=max_den, tol=snap_tol, gap=gap)
-    if sum(b * m for b, m in spectrum) != -1:
-        raise RationalSnapError(
-            f"snapped spectrum {[(str(b), m) for b, m in spectrum]} does not have trace -1"
-        )
-    stype = type_from_beta(spectrum)
-    if abs(float(stype.energy) - report.energy) > 10 * snap_tol:
-        raise RationalSnapError(
-            f"snapped energy {stype.energy} is inconsistent with ||m||^2 = {report.energy!r}"
-        )
-    return stype
+    evals, vecs = np.linalg.eigh(report.m)
+    rotated = StructureTensor(_act_table(mu.table / mu.norm, vecs, vecs.conj().T))  # m = diag(evals)
+    vectors = [w.diagonal for w in support_weights(rotated, max(SUPPORT_TOL, tol))]
+    beta = sorted(exact_beta(vectors, min_norm_point(vectors), evals))
+    return type_from_beta([(b, len(list(run))) for b, run in groupby(beta)])
 
 
 def sl_residual(mu: StructureTensor) -> float:

@@ -1,50 +1,14 @@
-"""Continued-fraction snapping of floats to small rationals."""
+"""The label error and the printed form of exact rationals."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-MAX_DENOMINATOR = 64
-SNAP_TOL = 1e-6
-EIGENVALUE_GAP = 1e-6
-
 
 class RationalSnapError(ValueError):
-    """No rational with a small enough denominator lies within tolerance."""
-
-
-def snap_fraction(x: float, max_den: int = MAX_DENOMINATOR, tol: float = SNAP_TOL) -> Fraction:
-    """Best rational approximation with denominator <= max_den, or raise."""
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) > tol:
-        raise RationalSnapError(
-            f"{x!r} has no rational approximation with denominator <= {max_den} within {tol:g}"
-        )
-    return frac
-
-
-def group_values(values, gap: float = EIGENVALUE_GAP) -> list[tuple[float, int]]:
-    """Group an ascending float sequence into (mean, multiplicity) runs split at jumps > gap."""
-    out: list[tuple[float, int]] = []
-    run: list[float] = []
-    prev = None
-    for v in list(values) + [None]:
-        if run and (v is None or v - prev > gap):
-            out.append((float(np.mean(run)), len(run)))
-            run = []
-        if v is None:
-            break
-        run.append(float(v))
-        prev = v
-    return out
-
-
-def snap_spectrum(values, max_den: int = MAX_DENOMINATOR, tol: float = SNAP_TOL,
-                  gap: float = EIGENVALUE_GAP) -> list[tuple[Fraction, int]]:
-    """Snap ascending eigenvalues to rationals after multiplicity grouping."""
-    return [(snap_fraction(mean, max_den, tol), mult) for mean, mult in group_values(values, gap)]
+    """No exact label is certified: Wolfe's active set fails the exact KKT
+    check, or the exact beta lies farther than weights.SNAP_DISTANCE from the
+    float spectrum it would label."""
 
 
 def format_fraction(frac: Fraction) -> str:

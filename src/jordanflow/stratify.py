@@ -2,7 +2,8 @@
 
 The stratum parameter beta_mu is the unique minimum-norm point of the
 convex hull of the supported weights, computed by Wolfe's algorithm in
-.weights; this module re-exports that layer, so WeightVector,
+.weights and re-solved there in rationals; every label is exact and the
+floats only certify it.  This module re-exports that layer, so WeightVector,
 support_weights, MinNormPoint, min_norm_point and certificate_gap keep
 their names here.
 """
@@ -12,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import StructureTensor
 from .flow import FlowOptions, run_flow
-from .snap import MAX_DENOMINATOR, RationalSnapError, format_fraction, snap_fraction, snap_spectrum
+from .snap import RationalSnapError, format_fraction
 from .weights import (
     SUPPORT_TOL,
     MinNormPoint,
     WeightVector,
     certificate_gap,
+    exact_beta,
     min_norm_point,
     support_weights,
 )
@@ -39,8 +39,6 @@ __all__ = [
     "label_from_fractions",
 ]
 
-LABEL_SNAP_TOL = 1e-4   # flow terminals carry ~1e-5 eigenvalue error; labels are >= 1/(63*64) apart
-
 
 @dataclass(frozen=True)
 class StratumLabel:
@@ -54,12 +52,6 @@ class StratumLabel:
             raise ValueError(f"stratum label must have trace -1, got {self.beta}")
         if list(self.beta) != sorted(self.beta):
             raise ValueError("stratum label must be sorted ascending")
-
-    @classmethod
-    def from_floats(cls, values, snap_tol: float = LABEL_SNAP_TOL,
-                    max_den: int = MAX_DENOMINATOR) -> "StratumLabel":
-        fr = [snap_fraction(float(v), max_den=max_den, tol=snap_tol) for v in sorted(values)]
-        return cls(beta=tuple(fr), norm_sq=sum((f * f for f in fr), Fraction(0)))
 
     @property
     def dim(self) -> int:
@@ -81,19 +73,19 @@ def beta_mu_point(mu: StructureTensor, tol: float = SUPPORT_TOL) -> MinNormPoint
     return min_norm_point([w.diagonal for w in weights])
 
 
-def beta_mu(mu: StructureTensor, support_tol: float = SUPPORT_TOL,
-            snap_tol: float = 1e-6) -> StratumLabel:
-    """beta_mu as a snapped, ascending stratum label."""
-    result = beta_mu_point(mu, support_tol)
-    label = StratumLabel.from_floats(result.point, snap_tol=snap_tol)
-    if abs(float(label.norm_sq) - float(result.point @ result.point)) > 10 * snap_tol:
-        raise RationalSnapError(f"snapped label {label} is inconsistent with ||beta||^2")
-    return label
+def beta_mu(mu: StructureTensor, support_tol: float = SUPPORT_TOL) -> StratumLabel:
+    """beta_mu of mu in the given basis, exactly: Wolfe's point re-solved over its active set.
+
+    Raises RationalSnapError when the exact point fails the KKT check or
+    lies farther than SNAP_DISTANCE from Wolfe's float point.
+    """
+    vectors = [w.diagonal for w in support_weights(mu, support_tol)]
+    result = min_norm_point(vectors)
+    return label_from_fractions(exact_beta(vectors, result, result.point))
 
 
-def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions(),
-               label_tol: float = LABEL_SNAP_TOL) -> StratumLabel:
-    """Stratum label of mu: flow to the terminal soliton and snap its moment spectrum.
+def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> StratumLabel:
+    """Stratum label of mu: the exact beta of the flow's terminal soliton (FlowTrace.terminal_type).
 
     The exact flow stays in the orbit of mu, so the label is a basis-change
     invariant.  Numerically the non-minimal strata are measure-zero stable
@@ -102,20 +94,18 @@ def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions(),
     near-critical starts, for unitary images of them, and on the open
     minimal stratum.  Raises RuntimeError when the flow does not converge,
     which includes a flow whose energy falls below its own lower bound
-    (stop_reason left_orbit).
+    (stop_reason left_orbit), and RationalSnapError when the terminal has
+    no certified exact label.
     """
-    trace = run_flow(mu, opts, type_snap_tol=label_tol)
+    trace = run_flow(mu, opts)
     if not trace.converged:
         raise RuntimeError(
             f"flow stopped on {trace.stop_reason} after {trace.steps_taken} steps "
             f"(terminal energy {trace.terminal_energy!r}, lower bound {trace.lower_bound!r})"
         )
-    evals = np.sort(np.linalg.eigvalsh(trace.terminal_report.m))
-    spectrum = snap_spectrum(evals, tol=label_tol)
-    beta: list[Fraction] = []
-    for frac, mult in spectrum:
-        beta.extend([frac] * mult)
-    return StratumLabel(beta=tuple(beta), norm_sq=sum((b * b for b in beta), Fraction(0)))
+    if trace.terminal_type is None:
+        raise RationalSnapError(f"the flow terminal (energy {trace.terminal_energy!r}) has no certified label")
+    return label_from_fractions(trace.terminal_type.beta_diagonal())
 
 
 def label_from_fractions(values) -> StratumLabel:

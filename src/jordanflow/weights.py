@@ -9,25 +9,30 @@ the W_beta membership test.  This module sits below the flow, which reads
 stratum energy, and below the stratification built on the flow.
 
 Wolfe's active set also fixes beta exactly: exact_min_norm_point re-solves
-it in rationals and checks the KKT conditions, and degeneration_witness
-turns it into an integer one-parameter subgroup that degenerates the tensor
-to the coefficients of that face.
+it in rationals and checks the KKT conditions, exact_beta accepts the
+result as a label once it lies within SNAP_DISTANCE of the float spectrum
+it names, and degeneration_witness turns it into an integer one-parameter
+subgroup that degenerates the tensor to the coefficients of that face.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import numpy as np
 
 from .algebra import StructureTensor
+from .snap import RationalSnapError, format_fraction
 
 __all__ = ["WeightVector", "MinNormPoint", "support_weights", "min_norm_point", "certificate_gap",
-           "exact_min_norm_point", "degeneration_witness"]
+           "exact_min_norm_point", "exact_beta", "degeneration_witness"]
 
 SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the largest one
+# largest accepted max_i |lambda_i - beta_i| between an exact beta and the
+# float spectrum it labels; plateau-stopped flow terminals sit up to ~3e-5 off
+SNAP_DISTANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -147,59 +152,121 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Gauss-Jordan elimination over the rationals; None when the matrix is singular."""
-    size = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [x / head for x in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[size] for row in aug]
+def _rref(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of rational rows.
 
-
-def _affine_min_norm(vectors) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Least-norm point of the affine hull of vectors and its affine coefficients, exactly.
-
-    Solves the bordered Gram system [G 1; 1^T 0] (lam, r) = (0, 1); None
-    when the vectors are affinely dependent.
+    Each row is first scaled to integers; every reduced row is an integer
+    multiple of the reduced row echelon form's.  Returns the rows and their
+    pivot columns.
     """
-    k = len(vectors)
-    rows = [[Fraction(_dot(u, v)) for v in vectors] + [Fraction(1)] for u in vectors]
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    sol = _solve(rows, [Fraction(0)] * k + [Fraction(1)])
-    if sol is None:
+    ints = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    pivots: list[int] = []
+    for col in range(len(ints[0])):
+        r = len(pivots)
+        pivot = next((p for p in range(r, len(ints)) if ints[p][col]), None)
+        if pivot is None:
+            continue
+        ints[r], ints[pivot] = ints[pivot], ints[r]
+        head = ints[r]
+        for p, row in enumerate(ints):
+            if p != r and row[col]:
+                row = [head[col] * x - row[col] * y for x, y in zip(row, head)]
+                g = gcd(*row) or 1
+                ints[p] = [x // g for x in row]
+        pivots.append(col)
+    return ints, pivots
+
+
+def _solve(rows, rhs) -> list[Fraction] | None:
+    """The solution of a square rational system, exactly; None when the matrix is singular."""
+    size = len(rows)
+    reduced, pivots = _rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots[:size] != list(range(size)):
         return None
-    lam = sol[:k]
-    point = [sum((c * v[i] for c, v in zip(lam, vectors)), Fraction(0)) for i in range(len(vectors[0]))]
-    return point, lam
+    return [Fraction(row[size], row[i]) for i, row in enumerate(reduced[:size])]
+
+
+def _affine_min_norm(vectors) -> tuple[list[Fraction], list[Fraction]]:
+    """Least-norm point of the affine hull of vectors and affine coefficients for it, exactly.
+
+    The bordered Gram system [G 1; 1^T 0] (lam, r) = (0, 1) is singular
+    exactly when the vectors are affinely dependent.  They are then cut,
+    Caratheodory style, to an independent subset with the same affine hull:
+    along an exact affine dependence, Wolfe's float barycentric coefficients
+    move until one reaches zero, and that vector is dropped, so the point
+    they represent stays inside the hull of the kept ones.  Dropped vectors
+    get coefficient 0.
+    """
+    k, dim = len(vectors), len(vectors[0])
+    kept = list(range(k))
+    guide = None
+    while True:
+        face = [vectors[i] for i in kept]
+        sol = _solve([[_dot(u, v) for v in face] + [1] for u in face] + [[1] * len(face) + [0]],
+                     [0] * len(face) + [1])
+        if sol is not None:
+            break
+        # a dependence (sum c = 0, sum c_i v_i = 0) from the first free column of the columns (v_i, 1)
+        reduced, pivots = _rref([[v[row] for v in face] for row in range(dim)] + [[1] * len(face)])
+        free = next(col for col in range(len(face)) if col not in pivots)
+        dep = [Fraction(0)] * len(face)
+        dep[free] = Fraction(1)
+        for row, col in enumerate(pivots):
+            dep[col] = -Fraction(reduced[row][free], reduced[row][col])
+        if guide is None:
+            guide = min_norm_point([[float(x) for x in v] for v in vectors]).coefficients
+        # sum(dep) = 0, so dep has a positive entry
+        step, drop = min((guide[i] / float(c), pos) for pos, (i, c) in enumerate(zip(kept, dep)) if c > 0)
+        for i, c in zip(kept, dep):
+            guide[i] -= step * float(c)
+        del kept[drop]
+    lam = [Fraction(0)] * k
+    for i, c in zip(kept, sol):
+        lam[i] = c
+    den = lcm(*(c.denominator for c in lam))
+    nums = [c.numerator * (den // c.denominator) for c in lam]
+    return [Fraction(sum(c * v[i] for c, v in zip(nums, vectors)), den) for i in range(dim)], lam
 
 
 def exact_min_norm_point(vectors, active) -> tuple[Fraction, ...] | None:
     """The min-norm point of conv(vectors) solved exactly over Wolfe's active set.
 
     vectors are integer tuples and active the indices Wolfe kept with
-    positive weight.  The bordered system puts <beta, v> = ||beta||^2 on
-    every active v; the result is returned only when it is also certified
-    as the min-norm point: its barycentric coefficients over active are
-    positive and <beta, v> >= ||beta||^2 holds for every vector.  None
+    positive weight, affinely independent or not.  The bordered system puts
+    <beta, v> = ||beta||^2 on every active v; the result is returned only
+    when it is also certified as the min-norm point: its barycentric
+    coefficients over active are non-negative and <beta, v> >= ||beta||^2
+    holds for every vector, checked in integers on den * beta.  None
     otherwise (a float active set that is not the optimal one).
     """
-    solved = _affine_min_norm([vectors[i] for i in active])
-    if solved is None:
-        return None
-    beta, lam = solved
-    norm = _dot(beta, beta)
-    if min(lam) <= 0 or any(_dot(v, beta) < norm for v in vectors):
+    beta, lam = _affine_min_norm([vectors[i] for i in active])
+    den = lcm(*(b.denominator for b in beta))
+    scaled = [b.numerator * (den // b.denominator) for b in beta]
+    norm = _dot(scaled, scaled)
+    if min(lam) < 0 or any(den * _dot(v, scaled) < norm for v in vectors):
         return None
     return tuple(beta)
+
+
+def exact_beta(vectors, result: MinNormPoint, floats) -> tuple[Fraction, ...]:
+    """Wolfe's result over vectors re-solved exactly, and certified against a float spectrum.
+
+    The exact point must pass exact_min_norm_point's checks and lie within
+    SNAP_DISTANCE of floats in every coordinate; RationalSnapError otherwise.
+    """
+    beta = exact_min_norm_point(vectors, [int(i) for i in np.flatnonzero(result.coefficients)])
+    if beta is None:
+        raise RationalSnapError("Wolfe's active set fails the exact KKT check")
+    distance = max(abs(float(b) - float(x)) for b, x in zip(beta, floats))
+    if distance > SNAP_DISTANCE:
+        raise RationalSnapError(
+            f"exact beta ({', '.join(map(format_fraction, beta))}) lies {distance:.3e} from the "
+            f"float spectrum, more than {SNAP_DISTANCE:g}"
+        )
+    return beta
 
 
 def degeneration_witness(vectors, active, beta) -> tuple[int, ...] | None:
@@ -234,10 +301,7 @@ def degeneration_witness(vectors, active, beta) -> tuple[int, ...] | None:
                               for i, x in enumerate(v)])
         inner = min_norm_point([[float(x) for x in p] for p in projected])
         corral = [projected[i] for i in np.flatnonzero(inner.coefficients)]
-        solved = _affine_min_norm(corral)
-        if solved is None:
-            return None
-        a0 = solved[0]
+        a0 = _affine_min_norm(corral)[0]
     shift = [b + norm for b in beta]   # <shift, v> = <beta, v> - ||beta||^2 when sum(v) = -1
     ratios = [-_dot(a0, v) / _dot(shift, v) for v in others if _dot(shift, v) > 0]
     scale = max(floor(max(ratios, default=0)) + 1, 1)

@@ -207,3 +207,17 @@ def test_stratify_with_flow_label(capsys):
     assert code == 0
     assert "beta_mu          (-1, -1/2, 0, 1/2)" in out
     assert "stratum (flow)   (-1, -1/2, 0, 1/2)" in out
+
+
+def test_stratify_prints_the_exact_beta_and_fails_without_a_certificate(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "stratify", "--catalog", "A_4_68", "--json")
+    assert code == 0
+    assert json.loads(out)["beta"] == ["-1", "-1", "1/2", "1/2"]
+
+    def uncertified(*args):
+        raise cli.RationalSnapError("no certified label")
+
+    monkeypatch.setattr(cli, "exact_beta", uncertified)
+    code, _, err = run_cli(capsys, "stratify", "--catalog", "A_4_68")
+    assert code == 1
+    assert err == "error: no certified label\n"

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jordanflow.algebra import StructureTensor, act, inf_act, tensor_inner
+from jordanflow.algebra import StructureTensor, act, inf_act, soliton_product, tensor_inner
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
 from jordanflow.moment import (
     energy,
@@ -21,7 +22,7 @@ from jordanflow.sampling import (
     random_symmetric_tensor,
     random_unitary,
 )
-from jordanflow.snap import RationalSnapError, snap_fraction, snap_spectrum
+from jordanflow.weights import support_weights
 
 
 def test_moment_matrix_examples():
@@ -194,13 +195,40 @@ def test_type_degrees_are_coprime_across_catalog():
         assert sum(t.multiplicities) == entry.dim
 
 
-def test_snap_fraction_behaviour():
-    assert snap_fraction(0.5) == Fraction(1, 2)
-    assert snap_fraction(-5 / 6 + 2e-7) == Fraction(-5, 6)
-    with pytest.raises(RationalSnapError):
-        snap_fraction(0.123456789)  # no denominator <= 64 close enough
-    spec = snap_spectrum([-0.5000001, -0.4999999, 0.0])
-    assert spec == [(Fraction(-1, 2), 2), (Fraction(0), 1)]
+def test_soliton_type_is_exact_beyond_denominator_64():
+    mu = soliton_product(builtin("A_3_17").tensor, builtin("A_4_66").tensor)
+    assert soliton_type(mu).beta_diagonal() == [
+        Fraction(-13, 22), Fraction(-49, 88), Fraction(-7, 22), Fraction(-13, 88),
+        Fraction(-7, 88), Fraction(13, 44), Fraction(35, 88)]
+
+
+def test_soliton_type_of_unitary_images_of_a_4_68(rng):
+    # degenerate spectrum: Wolfe's active set in the eigenframe is affinely dependent
+    for _ in range(20):
+        t = soliton_type(act(random_unitary(rng, 4), builtin("A_4_68").tensor))
+        assert t.beta_diagonal() == [Fraction(-1), Fraction(-1), Fraction(1, 2), Fraction(1, 2)]
+
+
+DISTINGUISHED = {d: [name for name in names(d) if builtin(name).distinguished] for d in (1, 2, 3, 4)}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(min_value=5, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_soliton_type_of_unitary_products_is_certified(data, n, seed):
+    d = data.draw(st.integers(min_value=n - 4, max_value=4))
+    a = builtin(data.draw(st.sampled_from(DISTINGUISHED[d]))).tensor
+    b = builtin(data.draw(st.sampled_from(DISTINGUISHED[n - d]))).tensor
+    mu = act(random_unitary(np.random.default_rng(seed), n), soliton_product(a, b))
+    beta = soliton_type(mu).beta_diagonal()
+    assert sum(beta) == -1
+    # exact KKT over the support weights in the eigenframe of m, ascending like beta
+    report = soliton_check(mu, pair_derivations=False)
+    evals, vecs = np.linalg.eigh(report.m)
+    norm = sum(x * x for x in beta)
+    for w in support_weights(act(vecs.conj().T, mu)):
+        assert sum(x * y for x, y in zip(w.diagonal, beta)) >= norm
+    # the snap distance obeys ||lambda - beta||^2 <= E - ||beta||^2
+    assert sum((lam - float(x)) ** 2 for lam, x in zip(evals, beta)) <= report.energy - float(norm) + 1e-12
 
 
 def test_type_from_beta_semisimple_convention():

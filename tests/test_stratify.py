@@ -155,6 +155,14 @@ def test_no_witness_when_the_active_set_is_smaller_than_the_minimal_face():
     assert degeneration_witness(square, active, beta) is None
 
 
+def test_exact_min_norm_point_on_an_affinely_dependent_active_set():
+    # all four corners of the square face: beta is inside, with no unique coefficients
+    square = [(-1, -1, 1, 0), (0, -1, 0, 0), (1, 0, -1, -1), (0, 0, 0, -1)]
+    assert exact_min_norm_point(square, [0, 1, 2, 3]) == (0, Fraction(-1, 2), 0, Fraction(-1, 2))
+    # a repeated point is the simplest dependence
+    assert exact_min_norm_point([(-1, 0), (0, -1), (-1, 0)], [0, 1, 2]) == (Fraction(-1, 2), Fraction(-1, 2))
+
+
 def test_exact_min_norm_point_rejects_a_wrong_active_set():
     vectors = [(-1, 0), (0, -1), (-2, 1)]
     assert exact_min_norm_point(vectors, [0, 1]) == (Fraction(-1, 2), Fraction(-1, 2))
