@@ -35,7 +35,7 @@ from .catalog import (
     regular_double,
     reproduce_tables,
 )
-from .flow import DegenerationCurve, FlowOptions, FlowTrace, apply_curve, clean_limit, run_flow
+from .flow import DegenerationCurve, FlowOptions, FlowTrace, apply_curve, run_flow
 from .moment import (
     MomentReport,
     SolitonType,

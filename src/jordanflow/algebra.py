@@ -21,6 +21,8 @@ GAP_WARN_RATIO = 1e3   # below this sv-gap ratio the rank decision is borderline
 # Largest dim a tensor document may declare.  The rank kernels build an
 # (n^3, n^2) complex matrix: 16 MB at n = 16, 512 MB at n = 32.
 MAX_DOCUMENT_DIM = 16
+SPLIT_TOL = 1e-7       # is_decomposable: residual bound on a candidate splitting projection
+SPLIT_TRIES = 8        # is_decomposable: random centroid elements tried
 
 __all__ = [
     "StructureTensor",
@@ -68,7 +70,9 @@ class StructureTensor:
             raise ValueError(f"structure tensor needs shape (n, n, n) with n >= 1, got {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValueError("structure tensor has non-finite coefficients")
-        if not np.allclose(t, np.swapaxes(t, 0, 1), atol=1e-12, rtol=0.0):
+        # the roundoff of a basis change grows with the coefficients, so the bound scales with them
+        scale = max(1.0, float(np.max(np.abs(t))))
+        if not np.allclose(t, np.swapaxes(t, 0, 1), atol=1e-12 * scale, rtol=0.0):
             raise ValueError("structure tensor must be symmetric in its first two indices")
         t = 0.5 * (t + np.swapaxes(t, 0, 1))
         t.setflags(write=False)
@@ -507,14 +511,15 @@ def _spectral_projector(r: np.ndarray, cluster: np.ndarray, others: np.ndarray) 
     return np.einsum("q,qij->ij", offsets, resolvents) / quad_points
 
 
-def is_decomposable(mu: StructureTensor, tol: float = 1e-7, tries: int = 8, seed: int = 0) -> bool:
+def is_decomposable(mu: StructureTensor) -> bool:
     """True when the algebra splits as a direct product of two nonzero ideals.
 
     A splitting exists iff the centroid contains a nontrivial idempotent.
     The eigenvalues of a random centroid element separate the factors (the
     nilpotent part of the centroid does not move them); the spectral
     projection onto one cluster is verified to be idempotent, to lie in the
-    centroid, and to kill cross products before the split is accepted.
+    centroid, and to kill cross products (each to SPLIT_TOL, relative)
+    before the split is accepted.  SPLIT_TRIES seeded draws are tried.
     """
     n = mu.dim
     if n <= 1:
@@ -526,8 +531,8 @@ def is_decomposable(mu: StructureTensor, tol: float = 1e-7, tries: int = 8, seed
     # radius ~ eps^(1/k); linking at the widest such ring (k = n) keeps a
     # defective eigenvalue in one cluster.
     link_tol = max(1e-6, 2.0 * (n * np.finfo(float).eps) ** (1.0 / n))
-    rng = np.random.default_rng(seed)
-    for _ in range(tries):
+    rng = np.random.default_rng(0)
+    for _ in range(SPLIT_TRIES):
         coeffs = rng.normal(size=cent.shape[0])
         r = np.einsum("k,kij->ij", coeffs, cent)
         scale = max(1.0, float(np.max(np.abs(r))))
@@ -540,14 +545,14 @@ def is_decomposable(mu: StructureTensor, tol: float = 1e-7, tries: int = 8, seed
         if proj is None:
             continue
         pscale = max(1.0, float(np.max(np.abs(proj))))
-        if float(np.max(np.abs(proj @ proj - proj))) > tol * pscale:
+        if float(np.max(np.abs(proj @ proj - proj))) > SPLIT_TOL * pscale:
             continue
         cross = np.einsum("ijk,ia,jb->abk", mu.table, proj, np.eye(n) - proj)
-        if float(np.max(np.abs(cross))) > tol * max(1.0, mu.norm):
+        if float(np.max(np.abs(cross))) > SPLIT_TOL * max(1.0, mu.norm):
             continue
         # membership in the centroid: T mu(x,y) - mu(Tx,y) = 0
         memb = np.einsum("ijk,ck->ijc", mu.table, proj) - np.einsum("ljc,li->ijc", mu.table, proj)
-        if float(np.max(np.abs(memb))) > tol * max(1.0, mu.norm):
+        if float(np.max(np.abs(memb))) > SPLIT_TOL * max(1.0, mu.norm):
             continue
         return True
     return False

@@ -5,8 +5,9 @@ matching, and the table-reproduction harness.
 Irrational coefficients are kept as expression strings and evaluated to
 double on construction, so reports can print their provenance.  Three
 families (A_4_16, A_4_17, A_4_25) are published only at limited printed
-precision; their tensors are refined by a short energy flow when the catalog
-is built, which drives the soliton residual from ~3e-5 to below 1e-8.
+precision; their family parameters are refined by a few Gauss-Newton steps
+on the criticality equation when the catalog is built (_polish_family),
+which drives the soliton residual from ~3e-5 to the double-precision floor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .algebra import (
     _inf_act_table,
     _moment_table,
 )
-from .flow import FlowOptions, FlowTrace, clean_limit, run_flow
+from .flow import FlowTrace, run_flow
 from .moment import SolitonType, soliton_check, soliton_type, type_from_beta
 from .snap import RationalSnapError
 from .stratify import StratumLabel, beta_mu, label_from_fractions
@@ -484,6 +485,8 @@ def regular_double(mu: StructureTensor) -> StructureTensor:
 
 # --- fingerprints ----------------------------------------------------------
 
+STRATUM_ENERGY_TOL = 1e-6   # two fingerprints' stratum energies agree within this
+
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -499,7 +502,7 @@ class Fingerprint:
     has_unit: bool
     stratum_energy: float
 
-    def matches(self, other: "Fingerprint", energy_tol: float = 1e-6) -> bool:
+    def matches(self, other: "Fingerprint") -> bool:
         return (
             self.dim == other.dim
             and self.dim_der == other.dim_der
@@ -509,41 +512,40 @@ class Fingerprint:
             and self.is_semisimple == other.is_semisimple
             and self.is_associative == other.is_associative
             and self.has_unit == other.has_unit
-            and abs(self.stratum_energy - other.stratum_energy) <= energy_tol
+            and abs(self.stratum_energy - other.stratum_energy) <= STRATUM_ENERGY_TOL
         )
 
 
-def fingerprint(mu: StructureTensor, rank_tol: float = 1e-8,
-                flow_opts: FlowOptions = FlowOptions()) -> Fingerprint:
+def fingerprint(mu: StructureTensor) -> Fingerprint:
     """Invariant summary of a Jordan tensor.
 
-    rank_tol should sit above the coefficient noise of the tensor: flow
-    terminals approximate their limit orbit to the flow's accuracy, so a
-    coarser cutoff (~1e-4) reads off the limit's invariants there.
+    The rank decisions cut at RANK_TOL, so the tensor's coefficient noise
+    must sit below it.  The stratum energy is the soliton energy of a
+    critical mu, else the terminal energy of its flow.
     """
     report = soliton_check(mu, pair_derivations=False)
-    stratum_energy = report.energy if report.is_soliton else run_flow(mu, flow_opts).terminal_energy
-    return _fingerprint(mu, rank_tol, stratum_energy)
+    stratum_energy = report.energy if report.is_soliton else run_flow(mu).terminal_energy
+    return _fingerprint(mu, stratum_energy)
 
 
-def _fingerprint(mu: StructureTensor, rank_tol: float, stratum_energy: float) -> Fingerprint:
-    dims = power_dims(mu, rank_tol)
+def _fingerprint(mu: StructureTensor, stratum_energy: float) -> Fingerprint:
+    dims = power_dims(mu)
     return Fingerprint(
         dim=mu.dim,
-        dim_der=derivation_algebra(mu, rank_tol)[0],
+        dim_der=derivation_algebra(mu)[0],
         power_dims=tuple(dims),
-        product_rank=product_rank(mu, rank_tol),
+        product_rank=product_rank(mu),
         is_nilpotent=dims[-1] == 0,
-        is_semisimple=is_semisimple(mu, rank_tol),
-        is_associative=is_associative(mu, tol=max(1e-9, rank_tol * mu.norm**2)),
-        has_unit=has_unit(mu, tol=max(1e-9, rank_tol)),
+        is_semisimple=is_semisimple(mu),
+        is_associative=is_associative(mu, tol=max(1e-9, RANK_TOL * mu.norm**2)),
+        has_unit=has_unit(mu, tol=max(1e-9, RANK_TOL)),
         stratum_energy=stratum_energy,
     )
 
 
 @lru_cache(maxsize=None)
 def _entry_flow(name: str) -> FlowTrace:
-    """The flow of a catalog entry, run once per process (A_4_63's takes ~9k steps)."""
+    """The flow of a catalog entry, run once per process (A_4_63's certifies at step 0)."""
     return run_flow(builtin(name).tensor)
 
 
@@ -552,25 +554,19 @@ def _entry_fingerprint(name: str) -> Fingerprint:
     entry = builtin(name)
     if entry.distinguished:
         return fingerprint(entry.tensor)
-    return _fingerprint(entry.tensor, RANK_TOL, _entry_flow(name).terminal_energy)
+    return _fingerprint(entry.tensor, _entry_flow(name).terminal_energy)
 
 
-def match(mu: StructureTensor, rank_tol: float = 1e-8,
-          energy_tol: float = 1e-6, clean: bool = True) -> list[str]:
-    """Catalog entries of the same dimension with an agreeing fingerprint.
+def match(mu: StructureTensor) -> list[str]:
+    """Catalog entries of the same dimension whose fingerprint agrees with mu's.
 
-    Flow terminals are first snapped to their visible limit pattern (see
-    clean_limit), so that decayed-but-nonzero coefficients of the start
-    orbit do not leak into the rank decisions.  Fingerprints are necessary,
-    not sufficient: multiple candidates are possible and reported in catalog
-    order.
+    mu is classified as given: a flow terminal is matched as the tensor it
+    is, so a terminal that stopped short of its limit matches the orbit it
+    is still in.  Fingerprints are necessary, not sufficient: multiple
+    candidates are possible and reported in catalog order.
     """
-    probe_tensor = clean_limit(mu) if clean else mu
-    probe = fingerprint(probe_tensor, rank_tol)
-    return [
-        name for name in names(mu.dim)
-        if _entry_fingerprint(name).matches(probe, energy_tol)
-    ]
+    probe = fingerprint(mu)
+    return [name for name in names(mu.dim) if _entry_fingerprint(name).matches(probe)]
 
 
 # --- table reproduction ----------------------------------------------------
@@ -661,7 +657,7 @@ def _reproduce_row(name: str) -> ReproduceRow:
                    and tuple(trace.terminal_type.beta_diagonal()) == entry.expected_beta)
         energy_ok = abs(trace.terminal_energy - float(entry.expected_energy)) <= 1e-6
         # the terminal is critical (A_4_63's is its witness limit), so its stratum energy is its energy
-        limit_fp = _fingerprint(trace.terminal, RANK_TOL, trace.terminal_energy)
+        limit_fp = _fingerprint(trace.terminal, trace.terminal_energy)
         own_fp = _entry_fingerprint(name)
         if limit_fp.matches(own_fp):
             beta_ok = False

@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = catalog_sub.add_parser("export")
     pe.add_argument("--name", required=True)
     pe.add_argument("--out", metavar="FILE")
-    pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("reproduce", help="recompute the classification tables and diff")

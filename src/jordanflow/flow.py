@@ -36,26 +36,29 @@ from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, m
                       support_weights)
 
 ARMIJO = 1e-4
+STEP0 = 1e-2          # first trial step size
 STEP_FLOOR = 1e-18
-PLATEAU_WINDOW = 500
+# resolution of every energy comparison: the plateau rule, the certificate
+# |E - L| and the fall E < L
+ENERGY_TOL = 1e-12
+PLATEAU_WINDOW = 500  # steps in a row each lowering E by less than ENERGY_TOL
 # bound on step * spectral radius of the direction, so each orbit move
 # exp(-s A) stays well conditioned and roundoff cannot hop orbits
 MAX_LOG_STRETCH = 2.0
 
-__all__ = ["FlowOptions", "FlowTrace", "run_flow", "clean_limit", "DegenerationCurve", "apply_curve"]
+__all__ = ["FlowOptions", "FlowTrace", "run_flow", "DegenerationCurve", "apply_curve"]
 
 
 @dataclass(frozen=True)
 class FlowOptions:
     max_steps: int = 200_000
-    step0: float = 1e-2
     grad_tol: float = 1e-9
-    energy_plateau_tol: float = 1e-12
-    plateau_window: int = PLATEAU_WINDOW
 
     def __post_init__(self):
-        if min(self.step0, self.grad_tol, self.energy_plateau_tol) <= 0:
-            raise ValueError("step0, grad_tol and energy_plateau_tol must be positive")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
     return bound, rotated, face
 
 
-def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, floor: float, tol: float,
+def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, floor: float,
                       memo: dict) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
     """One read of the lower bound at the iterate t of energy e.
 
@@ -180,17 +183,17 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
     nu is tested in floats first; the exact witness is worked out, once per
     support mask, only for a nu that is a soliton at energy L.
     """
-    bound, rotated, face = _lower_bound(t, vecs, floor + tol, memo)
+    bound, rotated, face = _lower_bound(t, vecs, floor + ENERGY_TOL, memo)
     lower = max(lower, bound)
-    if e < lower - tol:
+    if e < lower - ENERGY_TOL:
         return lower, "left_orbit", None
-    if lower - floor <= tol:
+    if lower - floor <= ENERGY_TOL:
         return lower, None, None
-    if abs(e - lower) <= tol:
+    if abs(e - lower) <= ENERGY_TOL:
         return lower, "certificate", None
     if face is not None:
         nu = StructureTensor(np.where(face.keep, rotated, 0.0))
-        if abs(energy(nu) - lower) <= tol and soliton_check(nu, pair_derivations=False).is_soliton \
+        if abs(energy(nu) - lower) <= ENERGY_TOL and soliton_check(nu, pair_derivations=False).is_soliton \
                 and face.exponents is not None:
             back = _act_table(nu.table / nu.norm, vecs.conj().T, vecs)
             back = 0.5 * (back + np.swapaxes(back, 0, 1))
@@ -214,7 +217,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
 
     - gradient: the gradient norm reached grad_tol;
     - certificate: the stratum energy is pinned from both sides at
-      energy_plateau_tol, with the lower side L above the floor 1/n by more
+      ENERGY_TOL, with the lower side L above the floor 1/n by more
       than that tolerance.  L is the running max of ||beta||^2 over the
       support weights (cut at SUPPORT_TOL) of the iterate in an eigenbasis
       of m, read at the start, after each step whose count is a power of
@@ -236,10 +239,10 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       them.  A bound at the floor never stops the flow, because iterates
       that roundoff carries off their orbit end there with their support
       filled, and every tensor meets it (tr m = -1);
-    - plateau: plateau_window steps in a row lowered E by less than
-      energy_plateau_tol;
+    - plateau: PLATEAU_WINDOW steps in a row lowered E by less than
+      ENERGY_TOL;
     - line_search_floor: no float64 decrease possible;
-    - left_orbit: E < L - energy_plateau_tol at a read or at the stop.  The
+    - left_orbit: E < L - ENERGY_TOL at a read or at the stop.  The
       flow cannot end below the stratum energy of its start, so roundoff
       has carried the iterate off the orbit of mu (up to the support cut);
     - max_steps: the step budget ran out.
@@ -261,13 +264,12 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     evals, vecs = np.linalg.eigh(direction)  # shared by the cap, every backtrack and the certificate
     energies = [e]
     grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
-    step = opts.step0
+    step = STEP0
     plateau = 0
     memo: dict = {}
-    tol = opts.energy_plateau_tol
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
-    lower, stop_reason, witness = _read_certificate(t, vecs, e, -math.inf, floor, tol, memo)
+    lower, stop_reason, witness = _read_certificate(t, vecs, e, -math.inf, floor, memo)
     if grad_norms[0] <= opts.grad_tol:
         stop_reason, witness = "gradient", None
     while stop_reason is None:
@@ -289,7 +291,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         if not accepted:
             stop_reason = "line_search_floor"
             break
-        plateau = plateau + 1 if abs(e - e2) < tol else 0
+        plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
         t, e, direction = cand, e2, direction2
         evals, vecs = np.linalg.eigh(direction)
         steps_taken += 1
@@ -297,14 +299,14 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
         step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
-            lower, stop_reason, witness = _read_certificate(t, vecs, e, lower, floor, tol, memo)
+            lower, stop_reason, witness = _read_certificate(t, vecs, e, lower, floor, memo)
             if stop_reason is not None:
                 break
-        if plateau >= opts.plateau_window:
+        if plateau >= PLATEAU_WINDOW:
             stop_reason = "plateau"
         elif grad_norms[-1] <= opts.grad_tol:
             stop_reason = "gradient"
-    if e < lower - tol:
+    if e < lower - ENERGY_TOL:
         stop_reason = "left_orbit"
 
     converged = stop_reason not in ("left_orbit", "max_steps")
@@ -322,46 +324,6 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         terminal_energy=e if witness is None else report.energy,
         witness=None if witness is None else witness[1],
     )
-
-
-def clean_limit(mu: StructureTensor, gap_ratio: float = 10.0, ceiling: float = 0.1,
-                residual_factor: float = 100.0, residual_floor: float = 1e-8,
-                distance_tol: float = 0.05) -> StructureTensor:
-    """Extract the visible limit pattern from a flow terminal.
-
-    Flow terminals can carry slowly decaying coefficients of the start orbit
-    on top of the limit soliton's support.  If the coefficient magnitudes
-    show a clean gap (ratio >= gap_ratio, entirely below ceiling * max), the
-    sub-gap entries are dropped.  The cleaned tensor is returned only when it
-    stays Jordan, stays near the input, and is no less critical than the
-    input was (up to residual_factor); this rejects cleanups that would strip
-    genuine small coefficients from an exact soliton.
-    """
-    mags = sorted(abs(c) for _, _, _, c in mu.products(tol=0.0))
-    if len(mags) < 2:
-        return mu
-    top = mags[-1]
-    cut = None
-    for low, high in zip(mags, mags[1:]):
-        if low <= ceiling * top and high / low >= gap_ratio:
-            cut = math.sqrt(low * high)
-    if cut is None:
-        return mu
-    table = mu.table.copy()
-    table[np.abs(table) < cut] = 0.0
-    cleaned = StructureTensor(table)
-    if cleaned.is_zero():
-        return mu
-    dropped = math.sqrt(max(mu.norm_sq - cleaned.norm_sq, 0.0))
-    if dropped > distance_tol * mu.norm:
-        return mu
-    if jordan_defect(cleaned) > 1e-9 * max(1.0, cleaned.norm**3):
-        return mu
-    own_residual = soliton_check(mu, pair_derivations=False).soliton_residual
-    allowed = max(residual_factor * own_residual, residual_floor)
-    if soliton_check(cleaned, pair_derivations=False).soliton_residual > allowed:
-        return mu
-    return cleaned
 
 
 @dataclass(frozen=True)

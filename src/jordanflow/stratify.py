@@ -17,7 +17,6 @@ from .algebra import StructureTensor
 from .flow import FlowOptions, run_flow
 from .snap import RationalSnapError, format_fraction
 from .weights import (
-    SUPPORT_TOL,
     MinNormPoint,
     WeightVector,
     certificate_gap,
@@ -67,19 +66,18 @@ class StratumLabel:
         }
 
 
-def beta_mu_point(mu: StructureTensor, tol: float = SUPPORT_TOL) -> MinNormPoint:
-    """Raw (float) minimum-norm point over the supported weights."""
-    weights = support_weights(mu, tol)
-    return min_norm_point([w.diagonal for w in weights])
+def beta_mu_point(mu: StructureTensor) -> MinNormPoint:
+    """Raw (float) minimum-norm point over the supported weights (cut at SUPPORT_TOL)."""
+    return min_norm_point([w.diagonal for w in support_weights(mu)])
 
 
-def beta_mu(mu: StructureTensor, support_tol: float = SUPPORT_TOL) -> StratumLabel:
+def beta_mu(mu: StructureTensor) -> StratumLabel:
     """beta_mu of mu in the given basis, exactly: Wolfe's point re-solved over its active set.
 
     Raises RationalSnapError when the exact point fails the KKT check or
     lies farther than SNAP_DISTANCE from Wolfe's float point.
     """
-    vectors = [w.diagonal for w in support_weights(mu, support_tol)]
+    vectors = [w.diagonal for w in support_weights(mu)]
     result = min_norm_point(vectors)
     return label_from_fractions(exact_beta(vectors, result, result.point))
 

@@ -33,6 +33,8 @@ SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the la
 # largest accepted max_i |lambda_i - beta_i| between an exact beta and the
 # float spectrum it labels; plateau-stopped flow terminals sit up to ~3e-5 off
 SNAP_DISTANCE = 1e-4
+IMPROVE_TOL = 1e-14   # Wolfe stops once no vertex improves ||x||^2 by more than this
+MAX_MAJOR = 1000      # Wolfe's major-cycle budget
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,12 @@ def certificate_gap(point: np.ndarray, vectors) -> float:
     return float(np.min(arr @ point) - point @ point)
 
 
-def min_norm_point(vectors, improve_tol: float = 1e-14, max_major: int = 1000) -> MinNormPoint:
+def min_norm_point(vectors) -> MinNormPoint:
     """Wolfe's minimum-norm-point algorithm over conv(vectors).
 
     Affine-hull subproblems are solved by least squares at double precision;
     the major cycle stops when no vertex improves ||x||^2 by more than
-    improve_tol.  Invariant under duplication and reordering of the input.
+    IMPROVE_TOL.  Invariant under duplication and reordering of the input.
     """
     pts = np.asarray(vectors, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -94,10 +96,10 @@ def min_norm_point(vectors, improve_tol: float = 1e-14, max_major: int = 1000) -
     lam = np.array([1.0])
     x = pts[active[0]].copy()
     majors = 0
-    for majors in range(1, max_major + 1):
+    for majors in range(1, MAX_MAJOR + 1):
         dots = pts @ x
         j = int(np.argmin(dots))
-        if dots[j] >= float(x @ x) - improve_tol or j in active:
+        if dots[j] >= float(x @ x) - IMPROVE_TOL or j in active:
             majors -= 1
             break
         active.append(j)
@@ -133,7 +135,7 @@ def min_norm_point(vectors, improve_tol: float = 1e-14, max_major: int = 1000) -
             active = [active[i] for i in range(k) if keep[i]]
             lam = lam[keep]
     else:
-        raise RuntimeError(f"min-norm point did not converge in {max_major} major cycles")
+        raise RuntimeError(f"min-norm point did not converge in {MAX_MAJOR} major cycles")
     coeffs = np.zeros(count)
     for i, idx in enumerate(active):
         coeffs[idx] += lam[i]

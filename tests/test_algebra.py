@@ -311,6 +311,22 @@ def test_structure_tensor_validation():
         StructureTensor.from_products(2, {(2, 1, 1): 1.0})
 
 
+@pytest.mark.parametrize("scale", [1e4, 1e5])
+def test_symmetry_check_scales_with_the_coefficients(scale):
+    # the roundoff of a unitary image grows with the coefficients; an absolute
+    # bound rejected most of these images as asymmetric
+    mu = builtin("A_4_1").tensor.scaled(scale)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        image = act(random_unitary(rng, 4), mu)
+        assert image.norm == pytest.approx(mu.norm, rel=1e-12)
+    # a real asymmetry at the same scale is still rejected
+    bad = mu.table.copy()
+    bad[0, 1, 2] += 1e-9 * scale
+    with pytest.raises(ValueError, match="symmetric"):
+        StructureTensor(bad)
+
+
 def test_tensor_is_immutable():
     mu = heisenberg(2)
     with pytest.raises(ValueError):

@@ -150,6 +150,17 @@ def test_flow_nonconvergence_is_compute_error(tmp_path, capsys):
     assert "converged        False (max_steps)" in out
 
 
+@pytest.mark.parametrize("argv", [["flow"], ["stratify", "--flow"]])
+@pytest.mark.parametrize("bad", [["--max-steps", "-1"], ["--tol", "0"]])
+def test_bad_flow_options_are_usage_errors(capsys, argv, bad):
+    # A_2_3 is critical and A_4_63 certifies at step 0, so neither flow would
+    # ever read a bad step budget; the A_4_26 torus start would
+    for name in ("A_2_3", "A_4_63"):
+        code, out, err = run_cli(capsys, *argv, "--catalog", name, *bad)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_flow_that_leaves_its_orbit_is_compute_error(tmp_path, capsys):
     # criterion 3's start 29 (A_3_18, stratum energy 3) reads L = 3, then
     # roundoff carries it below: it stops after 32 steps at E = 0.336

@@ -5,8 +5,8 @@ import pytest
 
 from jordanflow import flow
 from jordanflow.algebra import StructureTensor, act, derivation_algebra
-from jordanflow.catalog import builtin, heisenberg
-from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, clean_limit, run_flow
+from jordanflow.catalog import builtin, heisenberg, match
+from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 from jordanflow.stratify import beta_mu_point, min_norm_point
@@ -98,15 +98,16 @@ def test_non_distinguished_flow_keeps_its_plateau_stop():
     # critical, so no witness fires: L reads 3/2 but E approaches it only
     # algebraically, and the plateau rule ends the flow above the tolerance
     start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_63").tensor)
-    opts = FlowOptions()
-    trace = run_flow(start, opts)
+    trace = run_flow(start)
     assert trace.stop_reason == "plateau"
     assert trace.converged
-    assert trace.steps_taken > opts.plateau_window
+    assert trace.steps_taken > flow.PLATEAU_WINDOW
     assert trace.lower_bound == pytest.approx(1.5, abs=1e-12)
-    assert trace.terminal_energy - trace.lower_bound > opts.energy_plateau_tol
+    assert trace.terminal_energy - trace.lower_bound > flow.ENERGY_TOL
     assert trace.terminal_energy == pytest.approx(1.5, abs=1e-6)
     assert trace.witness is None
+    # match classifies the tensor it is given: the terminal is still in A_4_63's orbit
+    assert match(trace.terminal) == ["A_4_63"]
 
 
 def test_witness_degenerates_the_rotated_start_to_the_terminal():
@@ -142,7 +143,7 @@ def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
     # below their own lower bound report it
     from conftest import criterion_3_starts
 
-    tol = FlowOptions().energy_plateau_tol
+    tol = flow.ENERGY_TOL
     certified = left = 0
     for entry, start in criterion_3_starts():
         trace = run_flow(start)
@@ -206,7 +207,10 @@ def test_flow_rejects_zero_and_bad_options():
     with pytest.raises(ValueError):
         run_flow(StructureTensor.zero(2))
     with pytest.raises(ValueError):
-        FlowOptions(step0=-1.0)
+        FlowOptions(grad_tol=-1.0)
+    with pytest.raises(ValueError):
+        FlowOptions(max_steps=-1)
+    assert FlowOptions(max_steps=0).max_steps == 0
 
 
 def test_flow_trace_csv(tmp_path):
@@ -270,20 +274,6 @@ def test_apply_curve_a463_witness():
     for t in (1e-2, 1e-3):
         dist = np.linalg.norm(apply_curve(mu, curve, t).table - target.table)
         assert dist == pytest.approx(t, rel=1e-6)
-
-
-def test_clean_limit_extracts_pattern():
-    # A_4_63 part-way down its witness curve: e2e2 = e4 has decayed to 2^-20
-    # (the flow terminal itself is now the exact limit, which clean_limit keeps)
-    mu = apply_curve(builtin("A_4_63").tensor, DegenerationCurve((-9, 2, -7, -16)), 0.5)
-    for start in (mu, run_flow(builtin("A_4_63").tensor).terminal):
-        cleaned = clean_limit(start)
-        kept = [(i, j, k) for i, j, k, _ in cleaned.products(tol=1e-9)]
-        assert kept == [(1, 2, 3), (1, 3, 4)]
-    # exact solitons are left alone
-    for name in ("A_4_16", "A_4_26", "A_4_53"):
-        mu = builtin(name).tensor
-        assert clean_limit(mu).allclose(mu, atol=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason="generic starts on non-semisimple orbits leave the orbit: "

@@ -26,7 +26,7 @@ from jordanflow.algebra import (
     _rank_split,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, FlowOptions, run_flow
+from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, STEP0, FlowOptions, run_flow
 from jordanflow.moment import moment_matrix
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -144,7 +144,7 @@ def test_one_flow_step_matches_einsum_step(name, n):
     start = act(g, builtin(name).tensor)
     trace = run_flow(start, FlowOptions(max_steps=1))
     assert trace.steps_taken == 1
-    ref_table, ref_energy = einsum_flow_step(start.table, FlowOptions().step0)
+    ref_table, ref_energy = einsum_flow_step(start.table, STEP0)
     assert norm(trace.terminal.table - ref_table) <= 1e-12
     assert trace.energies[1] == pytest.approx(ref_energy, rel=1e-12)
 
