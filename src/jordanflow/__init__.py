@@ -49,7 +49,6 @@ from .moment import (
 )
 from .snap import RationalSnapError
 from .stratify import (
-    StratumLabel,
     beta_mu,
     min_norm_point,
     stratum_of,

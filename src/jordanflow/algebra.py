@@ -17,7 +17,6 @@ from typing import Iterator, Mapping
 import numpy as np
 
 RANK_TOL = 1e-8        # relative singular-value cutoff for all rank decisions
-GAP_WARN_RATIO = 1e3   # below this sv-gap ratio the rank decision is borderline
 # Largest dim a tensor document may declare.  The rank kernels build an
 # (n^3, n^2) complex matrix: 16 MB at n = 16, 512 MB at n = 32.
 MAX_DOCUMENT_DIM = 16
@@ -105,8 +104,8 @@ class StructureTensor:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm <= tol
+    def is_zero(self) -> bool:
+        return self.norm == 0.0
 
     def products(self, tol: float = 0.0) -> Iterator[tuple[int, int, int, complex]]:
         """Yield 1-based (i, j, k, coefficient) over the i <= j triangle, |coeff| > tol."""
@@ -156,11 +155,6 @@ class Subspace:
         v = np.asarray(v, dtype=complex)
         resid = v - self.basis.conj().T @ (self.basis @ v) if self.dim else v
         return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros(self.ambient_dim, dtype=complex)
-        return self.basis.conj().T @ (self.basis @ np.asarray(v, dtype=complex))
 
 
 def _check_vector(mu: StructureTensor, x: np.ndarray) -> np.ndarray:
@@ -227,7 +221,7 @@ def is_associative(mu: StructureTensor, tol: float = 1e-9) -> bool:
 # rank-revealing kernels
 
 
-def _rank_split(mat: np.ndarray, rank_tol: float = RANK_TOL, floor: float = 0.0) -> tuple[int, np.ndarray, float]:
+def _rank_split(mat: np.ndarray, floor: float = 0.0) -> tuple[int, np.ndarray, float]:
     """Numerical rank of mat, its right singular vectors vh and the singular-value gap ratio at the cut.
 
     vh[:rank] spans the row space and vh[rank:].conj() the nullspace.  A wide
@@ -242,7 +236,7 @@ def _rank_split(mat: np.ndarray, rank_tol: float = RANK_TOL, floor: float = 0.0)
         return 0, np.eye(cols, dtype=complex), math.inf
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < cols)
     smax = s[0]
-    cutoff = rank_tol * max(smax, floor)
+    cutoff = RANK_TOL * max(smax, floor)
     if smax <= cutoff:
         return 0, np.eye(cols, dtype=complex), math.inf
     rank = int(np.sum(s > cutoff))
@@ -272,35 +266,35 @@ def trace_form(mu: StructureTensor) -> np.ndarray:
     return np.einsum("ijm,m->ij", t, tr)
 
 
-def radical(mu: StructureTensor, rank_tol: float = RANK_TOL) -> Subspace:
+def radical(mu: StructureTensor) -> Subspace:
     """Kernel of the trace form (Albert's criterion: the maximal nilpotent ideal)."""
-    rank, vh, gap = _rank_split(trace_form(mu), rank_tol, floor=mu.norm_sq)
+    rank, vh, gap = _rank_split(trace_form(mu), floor=mu.norm_sq)
     return Subspace(mu.dim, vh[rank:].conj(), gap)
 
 
-def is_semisimple(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
-    return radical(mu, rank_tol).dim == 0
+def is_semisimple(mu: StructureTensor) -> bool:
+    return radical(mu).dim == 0
 
 
-def derivation_algebra(mu: StructureTensor, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray, float]:
+def derivation_algebra(mu: StructureTensor) -> tuple[int, np.ndarray, float]:
     """Nullspace of A -> A.mu on n x n matrices.
 
     Returns (complex dimension, orthonormal basis of shape (dim, n, n), sv gap ratio).
     """
     n = mu.dim
-    rank, vh, gap = _rank_split(_operator_matrix(mu.table), rank_tol, floor=mu.norm)
+    rank, vh, gap = _rank_split(_operator_matrix(mu.table), floor=mu.norm)
     return n * n - rank, vh[rank:].conj().reshape(-1, n, n), gap
 
 
-def annihilator(mu: StructureTensor, rank_tol: float = RANK_TOL) -> Subspace:
+def annihilator(mu: StructureTensor) -> Subspace:
     """{x : L_x = 0}, the kernel of the stacked left-multiplication map."""
     n = mu.dim
     mat = np.transpose(mu.table, (2, 1, 0)).reshape(n * n, n)  # rows (k,j), cols i
-    rank, vh, gap = _rank_split(mat, rank_tol, floor=mu.norm)
+    rank, vh, gap = _rank_split(mat, floor=mu.norm)
     return Subspace(n, vh[rank:].conj(), gap)
 
 
-def power_dims(mu: StructureTensor, rank_tol: float = RANK_TOL) -> list[int]:
+def power_dims(mu: StructureTensor) -> list[int]:
     """Dims of A^2 >= A^3 >= ... with A^{k} = span of mu(A^i, A^j), i+j=k; stops at 0 or when stable."""
     n = mu.dim
     spaces = [np.eye(n, dtype=complex)]
@@ -311,7 +305,7 @@ def power_dims(mu: StructureTensor, rank_tol: float = RANK_TOL) -> list[int]:
             np.einsum("ijk,ai,bj->abk", mu.table, u, v).reshape(-1, n)
             for u, v in zip(spaces, spaces[::-1])
         ]
-        rank, vh, _ = _rank_split(np.concatenate(blocks), rank_tol, floor=mu.norm)
+        rank, vh, _ = _rank_split(np.concatenate(blocks), floor=mu.norm)
         if dims and rank == dims[-1]:
             break
         dims.append(rank)
@@ -321,14 +315,14 @@ def power_dims(mu: StructureTensor, rank_tol: float = RANK_TOL) -> list[int]:
     return dims
 
 
-def product_rank(mu: StructureTensor, rank_tol: float = RANK_TOL) -> int:
+def product_rank(mu: StructureTensor) -> int:
     """dim mu(C^n, C^n) = dim A^2."""
     rows = mu.table.reshape(mu.dim * mu.dim, mu.dim)
-    return _rank_split(rows, rank_tol, floor=mu.norm)[0]
+    return _rank_split(rows, floor=mu.norm)[0]
 
 
-def is_nilpotent(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
-    return power_dims(mu, rank_tol)[-1] == 0
+def is_nilpotent(mu: StructureTensor) -> bool:
+    return power_dims(mu)[-1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +439,7 @@ def adjoin_unit(mu: StructureTensor) -> StructureTensor:
     return StructureTensor(t)
 
 
-def soliton_unitalize(mu: StructureTensor, check_tol: float = 1e-9) -> StructureTensor:
+def soliton_unitalize(mu: StructureTensor) -> StructureTensor:
     """Unitalize sqrt(c)*mu with c = (2n+1)/(-c_mu), which maps solitons to solitons.
 
     Verifies the block shape of the resulting moment matrix:
@@ -460,7 +454,7 @@ def soliton_unitalize(mu: StructureTensor, check_tol: float = 1e-9) -> Structure
     expected[:n, :n] = _moment_table(scaled.table)
     expected[n, n] = -(2 * n + 1)
     dev = float(np.max(np.abs(block - expected)))
-    if dev > check_tol * max(1.0, float(np.max(np.abs(expected)))):
+    if dev > 1e-9 * max(1.0, float(np.max(np.abs(expected)))):
         raise ValueError(f"unitalized moment matrix is not block diagonal (deviation {dev:.3e})")
     return result
 
@@ -469,10 +463,10 @@ def soliton_unitalize(mu: StructureTensor, check_tol: float = 1e-9) -> Structure
 # centroid, decomposability, simplicity
 
 
-def centroid(mu: StructureTensor, rank_tol: float = RANK_TOL) -> np.ndarray:
+def centroid(mu: StructureTensor) -> np.ndarray:
     """Orthonormal basis (k, n, n) of {T : T mu(x,y) = mu(Tx, y) for all x, y}."""
     n = mu.dim
-    rank, vh, _ = _rank_split(_operator_matrix(mu.table, terms=2), rank_tol, floor=mu.norm)
+    rank, vh, _ = _rank_split(_operator_matrix(mu.table, terms=2), floor=mu.norm)
     return vh[rank:].conj().reshape(-1, n, n)
 
 
@@ -558,11 +552,11 @@ def is_decomposable(mu: StructureTensor) -> bool:
     return False
 
 
-def is_simple(mu: StructureTensor, rank_tol: float = RANK_TOL) -> bool:
+def is_simple(mu: StructureTensor) -> bool:
     """Semisimple with a one-dimensional centroid (a single simple factor)."""
-    if product_rank(mu, rank_tol) == 0:
+    if product_rank(mu) == 0:
         return False
-    return is_semisimple(mu, rank_tol) and centroid(mu, rank_tol).shape[0] == 1
+    return is_semisimple(mu) and centroid(mu).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ from .algebra import (
     _moment_table,
 )
 from .flow import FlowTrace, run_flow
-from .moment import SolitonType, soliton_check, soliton_type, type_from_beta
+from .moment import SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
-from .stratify import StratumLabel, beta_mu, label_from_fractions
+from .stratify import beta_mu
 
 __all__ = [
     "AlgebraFlags",
@@ -102,9 +102,6 @@ class CatalogEntry:
     expected_type: SolitonType | None        # None for the one non-distinguished orbit
     distinguished: bool
     provenance: dict[str, str]
-
-    def expected_label(self) -> StratumLabel:
-        return label_from_fractions(self.expected_beta)
 
 
 # --- raw tables ------------------------------------------------------------
@@ -414,17 +411,8 @@ def _build_entry(record: tuple) -> CatalogEntry:
     if name in _PRINTED_PRECISION:
         refined, _ = _trig_products(prods, _polish_family(prods))
         tensor = StructureTensor.from_products(dim, refined)
-    beta = tuple(Fraction(b) for b in beta_strs)
+    label = SolitonType(tuple(Fraction(b) for b in beta_strs))
     distinguished = name not in _NOT_DISTINGUISHED
-    expected_type = None
-    if distinguished:
-        grouped: list[tuple[Fraction, int]] = []
-        for b in beta:
-            if grouped and grouped[-1][0] == b:
-                grouped[-1] = (b, grouped[-1][1] + 1)
-            else:
-                grouped.append((b, 1))
-        expected_type = type_from_beta(grouped)
     return CatalogEntry(
         name=name,
         dim=dim,
@@ -432,9 +420,9 @@ def _build_entry(record: tuple) -> CatalogEntry:
         printed_tensor=printed,
         flags=AlgebraFlags.parse(flag_text),
         decomposition=decomposition,
-        expected_beta=beta,
-        expected_energy=sum((b * b for b in beta), Fraction(0)),
-        expected_type=expected_type,
+        expected_beta=label.beta,
+        expected_energy=label.energy,
+        expected_type=label if distinguished else None,
         distinguished=distinguished,
         provenance=prov,
     )
@@ -653,8 +641,7 @@ def _reproduce_row(name: str) -> ReproduceRow:
         # no soliton exists on this orbit: the flow terminal labels the stratum
         soliton_ok = not report.is_soliton
         trace = _entry_flow(name)
-        beta_ok = (trace.terminal_type is not None
-                   and tuple(trace.terminal_type.beta_diagonal()) == entry.expected_beta)
+        beta_ok = trace.terminal_type is not None and trace.terminal_type.beta == entry.expected_beta
         energy_ok = abs(trace.terminal_energy - float(entry.expected_energy)) <= 1e-6
         # the terminal is critical (A_4_63's is its witness limit), so its stratum energy is its energy
         limit_fp = _fingerprint(trace.terminal, trace.terminal_energy)
@@ -673,8 +660,7 @@ def _reproduce_row(name: str) -> ReproduceRow:
         stype = soliton_type(mu)
         type_str = str(stype)
         beta_label = beta_mu(mu)
-        beta_ok = (tuple(stype.beta_diagonal()) == entry.expected_beta
-                   and beta_label.beta == entry.expected_beta)
+        beta_ok = stype.beta == entry.expected_beta and beta_label.beta == entry.expected_beta
         energy_ok = stype.energy == entry.expected_energy
     except (RationalSnapError, ValueError) as exc:
         type_str, beta_ok, energy_ok = "unsnapped", False, False

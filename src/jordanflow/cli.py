@@ -28,10 +28,9 @@ from .algebra import (
 )
 from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
-from .moment import sl_residual, soliton_check, soliton_type
+from .moment import SolitonType, sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
-from .stratify import label_from_fractions, min_norm_point, stratum_of, support_weights
-from .weights import exact_beta
+from .stratify import beta_mu, beta_mu_point, stratum_of, support_weights
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -67,6 +66,17 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _check_tol(args) -> None:
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+
+
+def _beta(label: SolitonType) -> tuple[str, dict]:
+    """beta as text, (b_1, ..., b_n), and as {"beta", "energy"} JSON."""
+    beta = [format_fraction(b) for b in label.beta]
+    return "(" + ", ".join(beta) + ")", {"beta": beta, "energy": format_fraction(label.energy)}
+
+
 def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
     lines = [f"{name} ="]
     for row in m:
@@ -78,6 +88,7 @@ def _matrix_lines(name: str, m: np.ndarray) -> list[str]:
 
 
 def cmd_validate(args) -> int:
+    _check_tol(args)
     with open(args.file) as handle:
         mu = load_tensor(handle.read())
     defect = jordan_defect(mu)
@@ -120,6 +131,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_moment(args) -> int:
+    _check_tol(args)
     mu = _load_input(args)
     report = soliton_check(mu, tol=args.tol)
     lines = _matrix_lines("M", report.M)
@@ -136,7 +148,7 @@ def cmd_moment(args) -> int:
         try:
             stype = soliton_type(mu, tol=args.tol)
             lines.append(f"type             {stype}")
-            lines.append("beta             (" + ", ".join(format_fraction(b) for b in stype.beta_diagonal()) + ")")
+            lines.append(f"beta             {_beta(stype)[0]}")
             payload["soliton_type"] = stype.to_json_dict()
         except RationalSnapError as exc:
             lines.append(f"type             unsnapped ({exc})")
@@ -173,26 +185,23 @@ def cmd_flow(args) -> int:
 
 def cmd_stratify(args) -> int:
     mu = _load_input(args)
-    weights = support_weights(mu)
-    vectors = [w.diagonal for w in weights]
-    result = min_norm_point(vectors)
-    label = label_from_fractions(exact_beta(vectors, result, result.point))
+    text, beta = _beta(beta_mu(mu))
+    gap = beta_mu_point(mu).certificate_gap
     payload = {
-        **label.to_json_dict(),
-        "support": [list(t) for w in weights for t in w.triples],
-        "certificate_gap": result.certificate_gap,
+        **beta,
+        "support": [list(t) for w in support_weights(mu) for t in w.triples],
+        "certificate_gap": gap,
     }
     lines = [
-        f"beta_mu          {label}",
+        f"beta_mu          {text}",
         f"||beta||^2       {payload['energy']}",
         f"support triples  {payload['support']}",
-        f"certificate gap  {_fmt(result.certificate_gap)}",
+        f"certificate gap  {_fmt(gap)}",
     ]
     if args.flow:
         opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol)
-        stratum = stratum_of(mu, opts)
-        payload["stratum"] = stratum.to_json_dict()
-        lines.append(f"stratum (flow)   {stratum}")
+        text, payload["stratum"] = _beta(stratum_of(mu, opts))
+        lines.append(f"stratum (flow)   {text}")
     _emit(args, payload, lines)
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "energy_gradient",
     "soliton_check",
     "soliton_type",
-    "type_from_beta",
     "sl_residual",
 ]
 
@@ -136,36 +135,43 @@ def soliton_check(mu: StructureTensor, tol: float = SOLITON_TOL,
 
 @dataclass(frozen=True)
 class SolitonType:
-    """Coprime integer pattern (d_1 < ... < d_r; m_1, ..., m_r) with the exact beta spectrum."""
+    """Exact stratum label beta, ascending with trace -1, and its type (d_1 < ... < d_r; m_1, ..., m_r).
 
-    degrees: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-    beta: tuple[Fraction, ...]          # ascending eigenvalues of m, one per multiplicity
-    energy: Fraction
+    The m_i count the distinct eigenvalues b_i of beta, and the coprime
+    integers d_i are proportional to b_i + ||beta||^2.
+    """
+
+    beta: tuple[Fraction, ...]          # ascending eigenvalues of m, with multiplicity
 
     def __post_init__(self):
-        if len(self.degrees) != len(self.multiplicities):
-            raise ValueError("degrees and multiplicities must align")
-        if list(self.degrees) != sorted(set(self.degrees)):
-            raise ValueError("degrees must be strictly increasing")
-        g = 0
-        for d in self.degrees:
-            g = gcd(g, abs(d))
-        if g not in (0, 1):
-            raise ValueError(f"degrees must be coprime as a set, got gcd {g}")
-        tr = sum(b * m for b, m in zip(self.beta, self.multiplicities))
-        if tr != -1:
-            raise ValueError(f"beta must have trace -1, got {tr}")
+        if sum(self.beta, Fraction(0)) != -1:
+            raise ValueError(f"beta must have trace -1, got {self.beta}")
+        if list(self.beta) != sorted(self.beta):
+            raise ValueError("beta must be sorted ascending")
+
+    @property
+    def energy(self) -> Fraction:
+        return sum((b * b for b in self.beta), Fraction(0))
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(len(list(run)) for _, run in groupby(self.beta))
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        energy = self.energy
+        shifted = [b + energy for b, _ in groupby(self.beta)]
+        den = lcm(*(f.denominator for f in shifted))
+        ints = [int(f * den) for f in shifted]
+        g = gcd(*ints) or 1
+        return tuple(v // g for v in ints)
 
     @property
     def dim(self) -> int:
-        return sum(self.multiplicities)
+        return len(self.beta)
 
     def beta_diagonal(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for b, m in zip(self.beta, self.multiplicities):
-            out.extend([b] * m)
-        return out
+        return list(self.beta)
 
     def __str__(self):
         degs = "<".join(str(d) for d in self.degrees)
@@ -177,30 +183,9 @@ class SolitonType:
             "type": str(self),
             "degrees": list(self.degrees),
             "multiplicities": list(self.multiplicities),
-            "beta": [format_fraction(b) for b in self.beta_diagonal()],
+            "beta": [format_fraction(b) for b in self.beta],
             "energy": format_fraction(self.energy),
         }
-
-
-def type_from_beta(beta_spectrum: list[tuple[Fraction, int]]) -> SolitonType:
-    """Build the type from exact (eigenvalue, multiplicity) pairs of m, ascending."""
-    energy_frac = sum((b * b * m for b, m in beta_spectrum), Fraction(0))
-    shifted = [b + energy_frac for b, _ in beta_spectrum]
-    denom_lcm = 1
-    for f in shifted:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in shifted]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return SolitonType(
-        degrees=tuple(ints),
-        multiplicities=tuple(m for _, m in beta_spectrum),
-        beta=tuple(b for b, _ in beta_spectrum),
-        energy=energy_frac,
-    )
 
 
 def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
@@ -227,8 +212,7 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     evals, vecs = np.linalg.eigh(report.m)
     rotated = StructureTensor(_act_table(mu.table / mu.norm, vecs, vecs.conj().T))  # m = diag(evals)
     vectors = [w.diagonal for w in support_weights(rotated, max(SUPPORT_TOL, tol))]
-    beta = sorted(exact_beta(vectors, min_norm_point(vectors), evals))
-    return type_from_beta([(b, len(list(run))) for b, run in groupby(beta)])
+    return SolitonType(tuple(sorted(exact_beta(vectors, min_norm_point(vectors), evals))))
 
 
 def sl_residual(mu: StructureTensor) -> float:

@@ -1,21 +1,19 @@
-"""Stratification data: the min-norm point beta_mu and stratum labels.
+"""Stratification data: the min-norm point beta_mu and the stratum of a tensor.
 
 The stratum parameter beta_mu is the unique minimum-norm point of the
 convex hull of the supported weights, computed by Wolfe's algorithm in
-.weights and re-solved there in rationals; every label is exact and the
-floats only certify it.  This module re-exports that layer, so WeightVector,
+.weights and re-solved there in rationals; every label is an exact
+moment.SolitonType and the floats only certify it.  This module re-exports that layer, so WeightVector,
 support_weights, MinNormPoint, min_norm_point and certificate_gap keep
 their names here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 from .algebra import StructureTensor
 from .flow import FlowOptions, run_flow
-from .snap import RationalSnapError, format_fraction
+from .moment import SolitonType
+from .snap import RationalSnapError
 from .weights import (
     MinNormPoint,
     WeightVector,
@@ -28,42 +26,13 @@ from .weights import (
 __all__ = [
     "WeightVector",
     "MinNormPoint",
-    "StratumLabel",
     "support_weights",
     "min_norm_point",
     "certificate_gap",
     "beta_mu",
     "beta_mu_point",
     "stratum_of",
-    "label_from_fractions",
 ]
-
-
-@dataclass(frozen=True)
-class StratumLabel:
-    """Sorted (ascending) rational spectrum with trace -1; one fixed Weyl chamber."""
-
-    beta: tuple[Fraction, ...]
-    norm_sq: Fraction
-
-    def __post_init__(self):
-        if sum(self.beta, Fraction(0)) != -1:
-            raise ValueError(f"stratum label must have trace -1, got {self.beta}")
-        if list(self.beta) != sorted(self.beta):
-            raise ValueError("stratum label must be sorted ascending")
-
-    @property
-    def dim(self) -> int:
-        return len(self.beta)
-
-    def __str__(self):
-        return "(" + ", ".join(format_fraction(b) for b in self.beta) + ")"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": [format_fraction(b) for b in self.beta],
-            "energy": format_fraction(self.norm_sq),
-        }
 
 
 def beta_mu_point(mu: StructureTensor) -> MinNormPoint:
@@ -71,7 +40,7 @@ def beta_mu_point(mu: StructureTensor) -> MinNormPoint:
     return min_norm_point([w.diagonal for w in support_weights(mu)])
 
 
-def beta_mu(mu: StructureTensor) -> StratumLabel:
+def beta_mu(mu: StructureTensor) -> SolitonType:
     """beta_mu of mu in the given basis, exactly: Wolfe's point re-solved over its active set.
 
     Raises RationalSnapError when the exact point fails the KKT check or
@@ -79,10 +48,10 @@ def beta_mu(mu: StructureTensor) -> StratumLabel:
     """
     vectors = [w.diagonal for w in support_weights(mu)]
     result = min_norm_point(vectors)
-    return label_from_fractions(exact_beta(vectors, result, result.point))
+    return SolitonType(tuple(sorted(exact_beta(vectors, result, result.point))))
 
 
-def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> StratumLabel:
+def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> SolitonType:
     """Stratum label of mu: the exact beta of the flow's terminal soliton (FlowTrace.terminal_type).
 
     The exact flow stays in the orbit of mu, so the label is a basis-change
@@ -103,10 +72,4 @@ def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> Stratu
         )
     if trace.terminal_type is None:
         raise RationalSnapError(f"the flow terminal (energy {trace.terminal_energy!r}) has no certified label")
-    return label_from_fractions(trace.terminal_type.beta_diagonal())
-
-
-def label_from_fractions(values) -> StratumLabel:
-    """Label built directly from exact rational entries (re-sorted ascending)."""
-    beta = tuple(sorted(Fraction(v) for v in values))
-    return StratumLabel(beta=beta, norm_sq=sum((b * b for b in beta), Fraction(0)))
+    return trace.terminal_type

@@ -255,7 +255,7 @@ def test_criterion_8_constructions():
     doubled = regular_double(builtin("A_2_4").tensor)
     ok = ok and doubled.allclose(builtin("A_4_22").tensor, atol=1e-12)
     label = stratum_of(doubled)
-    table_label = builtin("A_4_22").expected_label()
+    table_label = builtin("A_4_22").expected_type
     ok = ok and label == table_label
     scalar_m = np.allclose(moment_matrix(doubled) / doubled.norm_sq,
                            -np.eye(4) / 4, atol=1e-6)

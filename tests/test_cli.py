@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanflow import cli
+from jordanflow import cli, stratify
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 from jordanflow.stratify import stratum_of
@@ -161,6 +161,18 @@ def test_bad_flow_options_are_usage_errors(capsys, argv, bad):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# the same rule for the commands whose --tol is not a flow option; kept beside
+# the test above so that its parametrized cases keep their ids
+@pytest.mark.parametrize("command", ["moment", "validate"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "0"])
+def test_bad_tolerances_are_usage_errors(tmp_path, capsys, command, tol):
+    path = tmp_path / "a_2_3.json"
+    path.write_text(dump_tensor(builtin("A_2_3").tensor))
+    code, out, err = run_cli(capsys, command, str(path), "--tol", tol)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_flow_that_leaves_its_orbit_is_compute_error(tmp_path, capsys):
     # criterion 3's start 29 (A_3_18, stratum energy 3) reads L = 3, then
     # roundoff carries it below: it stops after 32 steps at E = 0.336
@@ -228,7 +240,7 @@ def test_stratify_prints_the_exact_beta_and_fails_without_a_certificate(capsys, 
     def uncertified(*args):
         raise cli.RationalSnapError("no certified label")
 
-    monkeypatch.setattr(cli, "exact_beta", uncertified)
+    monkeypatch.setattr(stratify, "exact_beta", uncertified)
     code, _, err = run_cli(capsys, "stratify", "--catalog", "A_4_68")
     assert code == 1
     assert err == "error: no certified label\n"

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from jordanflow.moment import (
     moment_matrix,
     sl_residual,
     soliton_check,
+    SolitonType,
     soliton_type,
-    type_from_beta,
 )
 from jordanflow.sampling import (
     random_group_element,
@@ -231,10 +232,32 @@ def test_soliton_type_of_unitary_products_is_certified(data, n, seed):
     assert sum((lam - float(x)) ** 2 for lam, x in zip(evals, beta)) <= report.energy - float(norm) + 1e-12
 
 
-def test_type_from_beta_semisimple_convention():
-    t = type_from_beta([(Fraction(-1, 4), 4)])
+def test_soliton_type_semisimple_convention():
+    t = SolitonType((Fraction(-1, 4),) * 4)
     assert (t.degrees, t.multiplicities) == ((0,), (4,))
     assert t.energy == Fraction(1, 4)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), max_size=7))
+def test_soliton_type_is_derived_from_beta(head):
+    beta = tuple(sorted(head + [-1 - sum(head, Fraction(0))]))
+    t = SolitonType(beta)
+    assert list(t.degrees) == sorted(set(t.degrees))
+    assert len(t.degrees) == len(t.multiplicities) == len(set(beta))
+    assert math.gcd(*t.degrees) == (1 if len(t.degrees) > 1 else 0)
+    assert sum(t.multiplicities) == t.dim == len(beta)
+    assert t.energy == sum(b * b for b in beta)
+    # d_i is a positive multiple of b_i + ||beta||^2
+    shifted = [b + t.energy for b in sorted(set(beta))]
+    k = max(range(len(shifted)), key=lambda i: abs(shifted[i]))
+    assert all(d * shifted[k] == t.degrees[k] * x for d, x in zip(t.degrees, shifted))
+    assert t.degrees[k] * shifted[k] >= 0
+    if len(set(beta)) > 1:
+        with pytest.raises(ValueError):
+            SolitonType(beta[::-1])
+    with pytest.raises(ValueError):
+        SolitonType(beta[:-1] + (beta[-1] + 1,))
 
 
 def test_soliton_data_is_scale_invariant():

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from jordanflow.algebra import StructureTensor, act
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
-from jordanflow.moment import moment_map, energy, soliton_check
+from jordanflow.moment import SolitonType, moment_map, energy, soliton_check
 from jordanflow.sampling import random_group_element, random_unitary
 from jordanflow.stratify import (
-    StratumLabel,
     beta_mu,
     beta_mu_point,
     certificate_gap,
-    label_from_fractions,
     min_norm_point,
     stratum_of,
     support_weights,
@@ -225,11 +223,11 @@ def test_min_norm_point_against_grid_projection_oracle(rng):
 def test_beta_mu_examples():
     label = beta_mu(builtin("A_4_68").tensor)
     assert label.beta == (Fraction(-1), Fraction(-1), Fraction(1, 2), Fraction(1, 2))
-    assert label.norm_sq == Fraction(5, 2)
+    assert label.energy == Fraction(5, 2)
     for n in (2, 3, 5):
         label = beta_mu(hyperbolic(n))
         assert label.beta == (Fraction(-1),) + (Fraction(0),) * (n - 1)
-        assert label.norm_sq == 1
+        assert label.energy == 1
 
 
 def test_beta_mu_equals_moment_spectrum_on_solitons():
@@ -264,18 +262,17 @@ def test_beta_mu_norm_bounded_by_one_with_zero_derivation_eigenvalue():
 
 def test_stratum_label_validation():
     with pytest.raises(ValueError):
-        StratumLabel(beta=(Fraction(0), Fraction(0)), norm_sq=Fraction(0))
+        SolitonType((Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
-        StratumLabel(beta=(Fraction(1), Fraction(-2)), norm_sq=Fraction(5))
-    label = label_from_fractions(["1/2", "-1", "-1/2"])
-    assert label.beta == (Fraction(-1), Fraction(-1, 2), Fraction(1, 2))
-    assert str(label) == "(-1, -1/2, 1/2)"
+        SolitonType((Fraction(1), Fraction(-2)))
+    label = SolitonType((Fraction(-1), Fraction(-1, 2), Fraction(1, 2)))
+    assert str(label) == "(1<2<4;1,1,1)"
 
 
 def test_stratum_of_examples(rng):
     label = stratum_of(builtin("A_4_63").tensor)
     assert label.beta == (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2))
-    assert label.norm_sq == Fraction(3, 2)
+    assert label.energy == Fraction(3, 2)
 
     label = stratum_of(act(random_group_element(rng, 3, cond_max=10), builtin("A_3_1").tensor))
     assert label.beta == (Fraction(-1, 3),) * 3
