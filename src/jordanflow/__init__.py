@@ -39,6 +39,7 @@ from .flow import DegenerationCurve, FlowOptions, FlowTrace, apply_curve, run_fl
 from .moment import (
     MomentReport,
     SolitonType,
+    derivation_pairing,
     energy,
     energy_gradient,
     moment_map,

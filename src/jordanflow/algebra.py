@@ -330,9 +330,9 @@ def is_nilpotent(mu: StructureTensor) -> bool:
 #
 # The table kernels below work on raw (n, n, n) arrays, symmetric in their
 # first two axes, and are the only implementations of the group action, the
-# moment table and the infinitesimal action.  Each is a few matmuls on
-# reshaped views, O(n^4) work; numpy runs the four-operand einsum form of
-# the group action as an O(n^6) loop nest.
+# moment table, the infinitesimal action and the soliton data (c, E, D.t).
+# Each is a few matmuls on reshaped views, O(n^4) work; numpy runs the
+# four-operand einsum form of the group action as an O(n^6) loop nest.
 
 
 def _act_table(t: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -359,6 +359,20 @@ def _inf_act_table(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     out -= (a.T @ t.reshape(n, n * n)).reshape(n, n, n)
     out -= a.T @ t
     return out
+
+
+def _soliton_table(t: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """M, c = -||M||^2 / ||t||^2, E = ||M||^2 / ||t||^4 = -c / ||t||^2 and D.t with D = M - cI.
+
+    grad E = 4 D.t / ||t||^4, so t is a soliton exactly when D.t = 0 (Ness 1984).
+    """
+    n2 = float(np.sum(np.abs(t) ** 2))
+    if n2 == 0.0:
+        raise ValueError("moment data is undefined for the zero tensor")
+    big_m = _moment_table(t)
+    m_sq = float(np.sum(np.abs(big_m) ** 2))
+    c = -m_sq / n2
+    return big_m, c, m_sq / n2**2, _inf_act_table(big_m - c * np.eye(t.shape[0]), t)
 
 
 def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
@@ -392,20 +406,12 @@ def direct_product(mu: StructureTensor, nu: StructureTensor) -> StructureTensor:
     return StructureTensor(t)
 
 
-def _soliton_scalar(mu: StructureTensor) -> float:
-    """c_mu = -||M||^2 / ||mu||^2."""
-    n2 = mu.norm_sq
-    if n2 == 0.0:
-        raise ValueError("moment data is undefined for the zero tensor")
-    return -float(np.sum(np.abs(_moment_table(mu.table)) ** 2)) / n2
-
-
 def soliton_product(mu: StructureTensor, nu: StructureTensor) -> StructureTensor:
     """Direct product with the second factor rescaled by sqrt(c_mu / c_nu).
 
     When both factors are solitons the result is again a soliton.
     """
-    scale = math.sqrt(_soliton_scalar(mu) / _soliton_scalar(nu))
+    scale = math.sqrt(_soliton_table(mu.table)[1] / _soliton_table(nu.table)[1])
     return direct_product(mu, nu.scaled(scale))
 
 
@@ -446,7 +452,7 @@ def soliton_unitalize(mu: StructureTensor) -> StructureTensor:
     diag(M_{sqrt(c) mu}, -(2n+1)).
     """
     n = mu.dim
-    c = (2 * n + 1) / (-_soliton_scalar(mu))
+    c = (2 * n + 1) / (-_soliton_table(mu.table)[1])
     scaled = mu.scaled(math.sqrt(c))
     result = adjoin_unit(scaled)
     block = _moment_table(result.table)

@@ -34,8 +34,7 @@ from .algebra import (
     is_simple,
     power_dims,
     product_rank,
-    _inf_act_table,
-    _moment_table,
+    _soliton_table,
 )
 from .flow import FlowTrace, run_flow
 from .moment import SolitonType, soliton_check, soliton_type
@@ -374,12 +373,9 @@ def _polish_family(kind: str) -> dict:
 
     def resid(values: np.ndarray) -> np.ndarray:
         prods, _ = _trig_products(kind, dict(zip(keys, values)))
-        t = StructureTensor.from_products(4, prods).table
-        m = _moment_table(t)
-        n2 = float(np.sum(np.abs(t) ** 2))
-        c = -float(np.sum(np.abs(m) ** 2)) / n2
-        flat = _inf_act_table(m - c * np.eye(4), t).ravel()
-        return np.concatenate([flat.real, flat.imag]) / math.sqrt(n2)
+        mu = StructureTensor.from_products(4, prods)
+        flat = _soliton_table(mu.table)[3].ravel()
+        return np.concatenate([flat.real, flat.imag]) / mu.norm
 
     step_h = 1e-7
     for _ in range(8):
@@ -511,7 +507,7 @@ def fingerprint(mu: StructureTensor) -> Fingerprint:
     must sit below it.  The stratum energy is the soliton energy of a
     critical mu, else the terminal energy of its flow.
     """
-    report = soliton_check(mu, pair_derivations=False)
+    report = soliton_check(mu)
     stratum_energy = report.energy if report.is_soliton else run_flow(mu).terminal_energy
     return _fingerprint(mu, stratum_energy)
 
@@ -666,7 +662,7 @@ def _reproduce_row(name: str) -> ReproduceRow:
         type_str, beta_ok, energy_ok = "unsnapped", False, False
         note = str(exc)
     if name in _PRINTED_PRECISION:
-        printed_res = soliton_check(entry.printed_tensor, pair_derivations=False).soliton_residual
+        printed_res = soliton_check(entry.printed_tensor).soliton_residual
         note = f"printed constants residual {printed_res:.2e}, refined to {report.soliton_residual:.2e}"
     return ReproduceRow(name, entry.dim, jordan_ok, flags_ok, soliton_ok,
                         report.soliton_residual, type_str, beta_ok, energy_ok, note)

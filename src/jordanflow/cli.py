@@ -28,9 +28,9 @@ from .algebra import (
 )
 from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
-from .moment import SolitonType, sl_residual, soliton_check, soliton_type
+from .moment import SolitonType, derivation_pairing, sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
-from .stratify import beta_mu, beta_mu_point, stratum_of, support_weights
+from .stratify import _exact_label, min_norm_point, stratum_of, support_weights
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -144,6 +144,7 @@ def cmd_moment(args) -> int:
     ]
     payload = report.to_json_dict()
     payload["sl_residual"] = sl_residual(mu)
+    payload["derivation_pairing_max"] = derivation_pairing(mu)
     if report.is_soliton:
         try:
             stype = soliton_type(mu, tol=args.tol)
@@ -185,18 +186,20 @@ def cmd_flow(args) -> int:
 
 def cmd_stratify(args) -> int:
     mu = _load_input(args)
-    text, beta = _beta(beta_mu(mu))
-    gap = beta_mu_point(mu).certificate_gap
+    weights = support_weights(mu)
+    vectors = [w.diagonal for w in weights]
+    result = min_norm_point(vectors)
+    text, beta = _beta(_exact_label(vectors, result))
     payload = {
         **beta,
-        "support": [list(t) for w in support_weights(mu) for t in w.triples],
-        "certificate_gap": gap,
+        "support": [list(t) for w in weights for t in w.triples],
+        "certificate_gap": result.certificate_gap,
     }
     lines = [
         f"beta_mu          {text}",
         f"||beta||^2       {payload['energy']}",
         f"support triples  {payload['support']}",
-        f"certificate gap  {_fmt(gap)}",
+        f"certificate gap  {_fmt(result.certificate_gap)}",
     ]
     if args.flow:
         opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol)
@@ -286,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="run the negative-gradient energy flow")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9, help="gradient norm tolerance")
-    p.add_argument("--max-steps", type=int, default=200_000)
+    p.add_argument("--tol", type=float, default=FlowOptions.grad_tol, help="gradient norm tolerance")
+    p.add_argument("--max-steps", type=int, default=FlowOptions.max_steps)
     p.add_argument("--trace", metavar="CSV", help="write step,energy,grad_norm rows; a witness stop "
                    "adds a last row at the same step for its limit")
     p.set_defaults(func=cmd_flow)
@@ -295,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stratify", help="support weights and the min-norm point beta_mu")
     add_common(p)
     p.add_argument("--flow", action="store_true", help="also label the stratum via the flow")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-steps", type=int, default=200_000)
+    p.add_argument("--tol", type=float, default=FlowOptions.grad_tol)
+    p.add_argument("--max-steps", type=int, default=FlowOptions.max_steps)
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("catalog", help="built-in classification tables")

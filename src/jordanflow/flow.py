@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
-from .moment import MomentReport, SolitonType, energy, soliton_check, soliton_type
+from .moment import MomentReport, SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, min_norm_point,
                       support_weights)
@@ -193,8 +193,8 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
         return lower, "certificate", None
     if face is not None:
         nu = StructureTensor(np.where(face.keep, rotated, 0.0))
-        if abs(energy(nu) - lower) <= ENERGY_TOL and soliton_check(nu, pair_derivations=False).is_soliton \
-                and face.exponents is not None:
+        report = soliton_check(nu)
+        if abs(report.energy - lower) <= ENERGY_TOL and report.is_soliton and face.exponents is not None:
             back = _act_table(nu.table / nu.norm, vecs.conj().T, vecs)
             back = 0.5 * (back + np.swapaxes(back, 0, 1))
             return lower, "certificate", (back, DegenerationCurve(tuple(-x for x in face.exponents)))

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import StructureTensor, derivation_algebra, _act_table, _inf_act_table, _moment_table
+from .algebra import StructureTensor, derivation_algebra, _act_table, _moment_table, _soliton_table
 from .snap import format_fraction
 from .weights import SUPPORT_TOL, exact_beta, min_norm_point, support_weights
 
@@ -34,6 +34,7 @@ __all__ = [
     "energy",
     "energy_gradient",
     "soliton_check",
+    "derivation_pairing",
     "soliton_type",
     "sl_residual",
 ]
@@ -58,17 +59,13 @@ def moment_map(mu: StructureTensor) -> np.ndarray:
 
 
 def energy(mu: StructureTensor) -> float:
-    """E = ||m||^2; scale- and unitary-invariant, with 1/n <= E <= 5 on Jordan tensors."""
-    m = moment_map(mu)
-    return float(np.sum(np.abs(m) ** 2))
+    """E = ||m||^2 = ||M||^2 / ||mu||^4; scale- and unitary-invariant, 1/n <= E <= 5 on Jordan tensors."""
+    return _soliton_table(mu.table)[2]
 
 
 def energy_gradient(mu: StructureTensor) -> StructureTensor:
-    """grad E = (4/||mu||^2) (m . mu - ||m||^2 mu), with m . mu the infinitesimal action."""
-    n2 = _require_nonzero(mu)
-    m = _moment_table(mu.table) / n2
-    e = float(np.sum(np.abs(m) ** 2))
-    return StructureTensor(4.0 / n2 * (_inf_act_table(m, mu.table) - e * mu.table))
+    """grad E = 4 D . mu / ||mu||^4 with D = M - cI, the infinitesimal action of D on mu."""
+    return StructureTensor(_soliton_table(mu.table)[3] * (4.0 / mu.norm_sq**2))
 
 
 @dataclass(frozen=True)
@@ -79,14 +76,17 @@ class MomentReport:
     m: np.ndarray
     energy: float
     c: float
-    D: np.ndarray
     soliton_residual: float
     is_soliton: bool
-    derivation_pairing_max: float
 
     @property
     def dim(self) -> int:
         return self.M.shape[0]
+
+    @property
+    def D(self) -> np.ndarray:
+        """D = M - cI, a derivation exactly when the tensor is a soliton."""
+        return self.M - self.c * np.eye(self.dim)
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,40 +97,33 @@ class MomentReport:
             "c": self.c,
             "soliton_residual": self.soliton_residual,
             "is_soliton": self.is_soliton,
-            "derivation_pairing_max": self.derivation_pairing_max,
         }
 
 
-def soliton_check(mu: StructureTensor, tol: float = SOLITON_TOL,
-                  pair_derivations: bool = True) -> MomentReport:
+def soliton_check(mu: StructureTensor, tol: float = SOLITON_TOL) -> MomentReport:
     """Criticality test: residual ||D . mu|| / ||mu|| with D = M - cI,
     evaluated on the unit-norm representative so the verdict is scale
     invariant (equivalently ||D . mu|| / ||mu||^3 for the raw input).
 
-    Also cross-checks <M, D'> = 0 against every computed derivation basis
-    element D' (recorded as derivation_pairing_max, relative to ||M||).
+    M, c and D . mu come from one table kernel, which also gives the
+    energy and the gradient: E = -c / ||mu||^2 and grad E = 4 D . mu / ||mu||^4,
+    so mu is critical for E exactly when D is a derivation.
     """
-    n2 = _require_nonzero(mu)
-    big_m = _moment_table(mu.table)
-    c = -float(np.sum(np.abs(big_m) ** 2)) / n2
-    d = big_m - c * np.eye(mu.dim)
-    residual = float(np.linalg.norm(_inf_act_table(d, mu.table))) / n2**1.5
-    pairing = 0.0
-    if pair_derivations:
-        _, der_basis, _ = derivation_algebra(mu)
-        # <M, D'> = tr(M D'^*) for every basis derivation D' at once
-        pairs = np.abs(np.einsum("kij,ij->k", der_basis.conj(), big_m))
-        pairing = float(np.max(pairs, initial=0.0)) / max(float(np.linalg.norm(big_m)), 1e-300)
-    return MomentReport(
-        M=big_m,
-        m=big_m / n2,
-        energy=float(np.sum(np.abs(big_m) ** 2)) / n2**2,
-        c=c,
-        D=d,
-        soliton_residual=residual,
-        is_soliton=residual <= tol,
-        derivation_pairing_max=pairing,
-    )
+    big_m, c, e, d_mu = _soliton_table(mu.table)
+    n2 = mu.norm_sq
+    residual = float(np.linalg.norm(d_mu)) / n2**1.5
+    return MomentReport(M=big_m, m=big_m / n2, energy=e, c=c, soliton_residual=residual,
+                        is_soliton=residual <= tol)
+
+
+def derivation_pairing(mu: StructureTensor) -> float:
+    """max |<M, D'>| / ||M|| over an orthonormal basis D' of Der(mu); zero up to roundoff on every
+    tensor, since <M, A> is proportional to <A . mu, mu>.  Checks M against derivation_algebra."""
+    big_m = moment_matrix(mu)
+    _, der_basis, _ = derivation_algebra(mu)
+    # <M, D'> = tr(M D'^*) for every basis derivation D' at once
+    pairs = np.abs(np.einsum("kij,ij->k", der_basis.conj(), big_m))
+    return float(np.max(pairs, initial=0.0)) / max(float(np.linalg.norm(big_m)), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -204,7 +197,7 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     the soliton criterion at tol and RationalSnapError when no exact beta is
     certified.
     """
-    report = soliton_check(mu, tol, pair_derivations=False)
+    report = soliton_check(mu, tol)
     if not report.is_soliton:
         raise ValueError(
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"

@@ -47,7 +47,11 @@ def beta_mu(mu: StructureTensor) -> SolitonType:
     lies farther than SNAP_DISTANCE from Wolfe's float point.
     """
     vectors = [w.diagonal for w in support_weights(mu)]
-    result = min_norm_point(vectors)
+    return _exact_label(vectors, min_norm_point(vectors))
+
+
+def _exact_label(vectors, result: MinNormPoint) -> SolitonType:
+    """Wolfe's result over the weight diagonals vectors, re-solved exactly (weights.exact_beta)."""
     return SolitonType(tuple(sorted(exact_beta(vectors, result, result.point))))
 
 

@@ -48,10 +48,6 @@ class WeightVector:
         if sum(self.diagonal) != -1:
             raise ValueError(f"weight diagonal must sum to -1, got {self.diagonal}")
 
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.diagonal, dtype=float)
-
 
 def support_weights(mu: StructureTensor, tol: float = SUPPORT_TOL) -> list[WeightVector]:
     """Distinct weight vectors of the coefficients with |mu_ij^k| > tol * max|coeff|."""

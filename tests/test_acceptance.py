@@ -26,6 +26,7 @@ from jordanflow.catalog import (
 )
 from jordanflow.flow import run_flow
 from jordanflow.moment import (
+    derivation_pairing,
     energy,
     energy_gradient,
     moment_matrix,
@@ -133,10 +134,10 @@ def test_criterion_5_structural_properties():
                 extra = builtin(names(1)[0]).tensor
                 mu = direct_product(mu, extra)
             mu = mu.normalized()
-        check = soliton_check(mu, pair_derivations=True)
+        check = soliton_check(mu)
         tr_dev = abs(np.trace(check.M).real + mu.norm_sq) / mu.norm_sq
         worst["trace"] = max(worst["trace"], tr_dev)
-        worst["pairing"] = max(worst["pairing"], check.derivation_pairing_max)
+        worst["pairing"] = max(worst["pairing"], derivation_pairing(mu))
 
         k = random_unitary(rng, mu.dim)
         lhs = moment_matrix(act(k, mu))
@@ -212,7 +213,7 @@ def test_criterion_7_soliton_identities():
         if not entry.distinguished:
             continue
         mu = entry.tensor.normalized()
-        check = soliton_check(mu, pair_derivations=False)
+        check = soliton_check(mu)
         evals, vecs = np.linalg.eigh(check.D)
         for idx in range(mu.dim):
             x = vecs[:, idx]

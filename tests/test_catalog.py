@@ -79,8 +79,8 @@ def test_printed_precision_entries_are_resolved():
     expected = {"A_4_16": 0.5, "A_4_17": 0.5, "A_4_25": 5 / 11}
     for name, stratum_energy in expected.items():
         entry = builtin(name)
-        raw = soliton_check(entry.printed_tensor, pair_derivations=False).soliton_residual
-        refined = soliton_check(entry.tensor, pair_derivations=False).soliton_residual
+        raw = soliton_check(entry.printed_tensor).soliton_residual
+        refined = soliton_check(entry.tensor).soliton_residual
         assert 1e-6 < raw < 1e-3
         assert refined < 1e-12
         assert energy(entry.tensor) == pytest.approx(stratum_energy, abs=1e-6)
@@ -221,7 +221,7 @@ def test_unitalization_energy_law_across_catalog():
         if trace_free(entry.tensor):
             lifted = soliton_unitalize(entry.tensor)
             assert energy(lifted) == pytest.approx(law, abs=1e-9), name
-            assert soliton_check(lifted, pair_derivations=False).is_soliton, name
+            assert soliton_check(lifted).is_soliton, name
         elif flowed < 4:
             flowed += 1
             trace = run_flow(adjoin_unit(entry.tensor))
@@ -241,7 +241,7 @@ def test_soliton_product_lemma_across_catalog(rng):
         left = builtin(pool[int(rng.integers(len(pool)))]).tensor
         right = builtin(pool[int(rng.integers(len(pool)))]).tensor
         combined = soliton_product(left, right)
-        assert soliton_check(combined, pair_derivations=False).is_soliton
+        assert soliton_check(combined).is_soliton
 
 
 def test_rank_decisions_are_not_borderline():

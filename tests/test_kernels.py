@@ -24,10 +24,11 @@ from jordanflow.algebra import (
     _moment_table,
     _operator_matrix,
     _rank_split,
+    _soliton_table,
 )
 from jordanflow.catalog import builtin, names
 from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, STEP0, FlowOptions, run_flow
-from jordanflow.moment import moment_matrix
+from jordanflow.moment import energy, energy_gradient, moment_matrix, soliton_check
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
 REL = 1e-12
@@ -110,6 +111,26 @@ def test_moment_is_unitarily_equivariant(n, seed):
     lhs = moment_matrix(act(u, mu))
     rhs = u @ moment_matrix(mu) @ u.conj().T
     assert norm(lhs - rhs) <= 1e-10 * mu.norm_sq
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds)
+def test_soliton_table_matches_the_moment_map_formulas(n, seed):
+    """M, c, E and D.t of the one soliton kernel against ||m||^2 and (4/||t||^2) (m.t - E t)."""
+    mu = random_symmetric_tensor(np.random.default_rng(seed), n)
+    t, n2 = mu.table, mu.norm_sq
+    big_m, c, e, d_t = _soliton_table(t)
+    m = ref_moment(t) / n2
+    e_ref = norm(m) ** 2
+    assert norm(big_m / n2 - m) <= REL * norm(m)
+    assert abs(e - e_ref) <= REL * e_ref and abs(-c / n2 - e) <= REL * e
+    assert norm(d_t - ref_inf_act(big_m - c * np.eye(n), t)) <= REL * norm(big_m) * norm(t)
+    grad_ref = 4.0 / n2 * (ref_inf_act(m, t) - e_ref * t)
+    assert norm(energy_gradient(mu).table - grad_ref) <= REL * 4.0 / n2 * norm(t) * (3 * norm(m) + e_ref)
+    report = soliton_check(mu)
+    assert energy(mu) == report.energy == e and report.c == c
+    with pytest.raises(ValueError, match="zero tensor"):
+        _soliton_table(np.zeros((n, n, n), dtype=complex))
 
 
 def einsum_flow_step(t, step):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jordanflow import algebra, catalog, flow, moment
 from jordanflow.algebra import StructureTensor, act, inf_act, soliton_product, tensor_inner
-from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
+from jordanflow.catalog import builtin, heisenberg, hyperbolic, names, reproduce_tables
+from jordanflow.flow import run_flow
 from jordanflow.moment import (
+    derivation_pairing,
     energy,
     energy_gradient,
     moment_map,
@@ -126,10 +129,26 @@ def test_soliton_check_on_catalog():
             assert not report.is_soliton
         else:
             assert report.is_soliton, name
-        assert report.derivation_pairing_max < 1e-8
+        assert derivation_pairing(builtin(name).tensor) < 1e-8
         # M is Hermitian and Tr M = -||mu||^2
         assert np.max(np.abs(report.M - report.M.conj().T)) < 1e-12
         assert report.c < 0
+
+
+def test_criticality_checks_run_without_derivations(monkeypatch):
+    """Only derivation_pairing and fingerprints need Der(mu): soliton_check, a flow and the
+    table rows of dims 1-3 run with derivation_algebra refusing every call."""
+    def refuse(mu):
+        raise AssertionError("derivation_algebra was called")
+
+    for module in (algebra, moment, flow, catalog):
+        if hasattr(module, "derivation_algebra"):
+            monkeypatch.setattr(module, "derivation_algebra", refuse)
+    trace = run_flow(act(np.diag([1.3, 0.8, 1.1]), builtin("A_3_7").tensor))
+    assert trace.converged and trace.terminal_type == builtin("A_3_7").expected_type
+    assert reproduce_tables(dims=(1, 2, 3)).ok
+    with pytest.raises(AssertionError, match="derivation_algebra"):
+        derivation_pairing(builtin("A_3_7").tensor)
 
 
 def test_generic_basis_change_destroys_criticality(rng):
@@ -223,7 +242,7 @@ def test_soliton_type_of_unitary_products_is_certified(data, n, seed):
     beta = soliton_type(mu).beta_diagonal()
     assert sum(beta) == -1
     # exact KKT over the support weights in the eigenframe of m, ascending like beta
-    report = soliton_check(mu, pair_derivations=False)
+    report = soliton_check(mu)
     evals, vecs = np.linalg.eigh(report.m)
     norm = sum(x * x for x in beta)
     for w in support_weights(act(vecs.conj().T, mu)):
@@ -301,6 +320,6 @@ def test_moment_report_json_shape():
     payload = soliton_check(heisenberg(2)).to_json_dict()
     assert set(payload) == {
         "dim", "M", "m_eigenvalues", "energy", "c",
-        "soliton_residual", "is_soliton", "derivation_pairing_max",
+        "soliton_residual", "is_soliton",
     }
     assert payload["energy"] == pytest.approx(5.0)

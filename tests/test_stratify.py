@@ -254,7 +254,7 @@ def test_beta_mu_norm_bounded_by_one_with_zero_derivation_eigenvalue():
         entry = builtin(name)
         if not entry.distinguished:
             continue
-        report = soliton_check(entry.tensor, pair_derivations=False)
+        report = soliton_check(entry.tensor)
         evals = np.linalg.eigvalsh(report.D)
         if np.min(np.abs(evals)) < 1e-8:
             assert float(entry.expected_energy) <= 1.0 + 1e-12, name
