@@ -71,7 +71,7 @@ class StructureTensor:
             raise ValueError("structure tensor has non-finite coefficients")
         # the roundoff of a basis change grows with the coefficients, so the bound scales with them
         scale = max(1.0, float(np.max(np.abs(t))))
-        if not np.allclose(t, np.swapaxes(t, 0, 1), atol=1e-12 * scale, rtol=0.0):
+        if np.max(np.abs(t - np.swapaxes(t, 0, 1))) > 1e-12 * scale:
             raise ValueError("structure tensor must be symmetric in its first two indices")
         t = 0.5 * (t + np.swapaxes(t, 0, 1))
         t.setflags(write=False)
@@ -341,6 +341,12 @@ def _act_table(t: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
     out = (h.T @ t.reshape(n, n * n)).reshape(n, n, n)  # first slot
     out = h.T @ out                                      # second slot, batched over the first
     return (out.reshape(n * n, n) @ g.T).reshape(n, n, n)  # output slot
+
+
+def _unitary_act_table(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u . t for a unitary u (so h = u^*), made symmetric in the first two axes to the last bit."""
+    out = _act_table(t, u.conj().T, u)
+    return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
 def _moment_table(t: np.ndarray) -> np.ndarray:

@@ -134,16 +134,17 @@ def cmd_moment(args) -> int:
     _check_tol(args)
     mu = _load_input(args)
     report = soliton_check(mu, tol=args.tol)
+    sl = sl_residual(mu)
     lines = _matrix_lines("M", report.M)
     lines += [
         f"energy           {_fmt(report.energy)}",
         f"c                {_fmt(report.c)}",
         f"soliton residual {_fmt(report.soliton_residual)}",
         f"is_soliton       {report.is_soliton}",
-        f"sl residual      {_fmt(sl_residual(mu))}",
+        f"sl residual      {_fmt(sl)}",
     ]
     payload = report.to_json_dict()
-    payload["sl_residual"] = sl_residual(mu)
+    payload["sl_residual"] = sl
     payload["derivation_pairing_max"] = derivation_pairing(mu)
     if report.is_soliton:
         try:

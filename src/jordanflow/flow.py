@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import StructureTensor, act, jordan_defect, _act_table, _inf_act_table, _moment_table
-from .moment import MomentReport, SolitonType, soliton_check, soliton_type
+from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
+from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, min_norm_point,
                       support_weights)
@@ -89,10 +89,7 @@ class FlowTrace:
         """One step,energy,grad_norm row per iterate; on a witness stop, one more at the same step for nu."""
         rows = list(enumerate(zip(self.energies, self.grad_norms)))
         if self.witness is not None:
-            t = self.terminal.table / self.terminal.norm
-            _, direction = _energy_direction(t)
-            rows.append((self.steps_taken, (self.terminal_energy,
-                                            float(np.linalg.norm(_inf_act_table(direction, t))))))
+            rows.append((self.steps_taken, (self.terminal_energy, energy_gradient(self.terminal.normalized()).norm)))
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["step", "energy", "grad_norm"])
@@ -100,26 +97,33 @@ class FlowTrace:
                 writer.writerow([step, repr(e), repr(g)])
 
 
-def _energy_direction(t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Energy and the Hermitian direction A with grad E = A . t.
-
-    grad E = (4/||t||^2) (m . t - E t) = (4/||t||^2) ((m + E I) . t), so the
-    negative gradient is tangent to the orbit and the flow can be discretized
-    by group elements exp(-s A), never leaving the orbit.
-    """
+def _energy_moment(t: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Energy E, moment map m and ||t||^2 of the table t."""
     n2 = float(np.vdot(t, t).real)
     m = _moment_table(t) / n2
-    e = float(np.vdot(m, m).real)
-    return e, 4.0 / n2 * (m + e * np.eye(t.shape[0]))
+    return float(np.vdot(m, m).real), m, n2
 
 
-def _orbit_step(t: np.ndarray, evals: np.ndarray, vecs: np.ndarray, step: float) -> np.ndarray:
-    """exp(-s A) . t from the eigendecomposition A = V diag(evals) V^*."""
-    vecs_h = vecs.conj().T
-    flow_g = (vecs * np.exp(-step * evals)) @ vecs_h
-    flow_g_inv = (vecs * np.exp(step * evals)) @ vecs_h
-    moved = _act_table(t, flow_g_inv, flow_g)
-    return 0.5 * (moved + np.swapaxes(moved, 0, 1))  # keep float symmetry exact
+def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t rotated into an eigenframe V of m, V, and the eigenvalues there of the direction A.
+
+    grad E = (4/||t||^2) (m . t - E t) = A . t with A = (4/||t||^2) (m + E I),
+    so the negative gradient is tangent to the orbit and the flow can be
+    discretized by group elements exp(-s A), never leaving the orbit.  A
+    shares m's eigenframe, in which it acts diagonally (see _weight_sums).
+    """
+    evals, vecs = np.linalg.eigh(m)
+    return _unitary_act_table(t, vecs.conj().T), vecs, 4.0 / n2 * (evals + e)
+
+
+def _weight_sums(evals: np.ndarray) -> np.ndarray:
+    """lam[i, j, k] = evals_i + evals_j - evals_k.
+
+    In the eigenframe of A = diag(evals) the torus acts diagonally: the
+    coefficient (i, j, k) has weight -e_i - e_j + e_k, so
+    exp(-s A) . t = t * exp(s lam) and A . t = -lam * t.
+    """
+    return evals[:, None, None] + evals[None, :, None] - evals[None, None, :]
 
 
 @dataclass
@@ -137,20 +141,17 @@ class _Face:
         return None if beta is None else degeneration_witness(self.vectors, self.active, beta)
 
 
-def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
-                 memo: dict[bytes, tuple[float, _Face | None]]) -> tuple[float, np.ndarray, _Face | None]:
-    """||beta||^2 of t's support weights in the frame that diagonalizes m.
+def _lower_bound(rotated: np.ndarray, above: float,
+                 memo: dict[bytes, tuple[float, _Face | None]]) -> tuple[float, _Face | None]:
+    """||beta||^2 of the support weights of rotated, a table held in a frame that diagonalizes its m.
 
-    vecs holds eigenvectors of the moment matrix of t as columns; rotating
-    t by the unitary vecs^* is a move inside its orbit.  The support is cut
-    at SUPPORT_TOL of the largest coefficient, so the result bounds the
-    stratum energy of the rotated tensor with its sub-cut coefficients
-    dropped.  Returns the bound, the rotated tensor and, for a bound above
-    `above` whose Wolfe active set is smaller than the support, that
-    active face, else None.  memo holds bound and face per support mask.
+    The frame is unitary, so rotated lies in the orbit of the caller's
+    tensor.  The support is cut at SUPPORT_TOL of the largest coefficient,
+    so the result bounds the stratum energy of rotated with its sub-cut
+    coefficients dropped.  Returns the bound and, for a bound above `above`
+    whose Wolfe active set is smaller than the support, that active face,
+    else None.  memo holds bound and face per support mask.
     """
-    rotated = _act_table(t, vecs, vecs.conj().T)
-    rotated = 0.5 * (rotated + np.swapaxes(rotated, 0, 1))
     mags = np.abs(rotated)
     support = mags > SUPPORT_TOL * np.max(mags)
     key = support.tobytes()
@@ -169,21 +170,20 @@ def _lower_bound(t: np.ndarray, vecs: np.ndarray, above: float,
                 keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
             face = _Face(keep, vectors, active)
         memo[key] = (bound, face)
-    bound, face = memo[key]
-    return bound, rotated, face
+    return memo[key]
 
 
-def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, floor: float,
+def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
                       memo: dict) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
-    """One read of the lower bound at the iterate t of energy e.
+    """One read of the lower bound at the iterate rotated of energy e, held in an eigenframe of its m.
 
     Returns the new running max of L, a stop reason (left_orbit,
     certificate) or None, and on a certificate by truncation the pair
-    (unit-norm terminal table in t's frame, witness curve).  The truncation
+    (unit-norm nu in that frame, witness curve).  The truncation
     nu is tested in floats first; the exact witness is worked out, once per
     support mask, only for a nu that is a soliton at energy L.
     """
-    bound, rotated, face = _lower_bound(t, vecs, floor + ENERGY_TOL, memo)
+    bound, face = _lower_bound(rotated, floor + ENERGY_TOL, memo)
     lower = max(lower, bound)
     if e < lower - ENERGY_TOL:
         return lower, "left_orbit", None
@@ -195,9 +195,7 @@ def _read_certificate(t: np.ndarray, vecs: np.ndarray, e: float, lower: float, f
         nu = StructureTensor(np.where(face.keep, rotated, 0.0))
         report = soliton_check(nu)
         if abs(report.energy - lower) <= ENERGY_TOL and report.is_soliton and face.exponents is not None:
-            back = _act_table(nu.table / nu.norm, vecs.conj().T, vecs)
-            back = 0.5 * (back + np.swapaxes(back, 0, 1))
-            return lower, "certificate", (back, DegenerationCurve(tuple(-x for x in face.exponents)))
+            return lower, "certificate", (nu.table / nu.norm, DegenerationCurve(tuple(-x for x in face.exponents)))
     return lower, None, None
 
 
@@ -212,17 +210,26 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     orbit by the group elements exp(-s (m + E I)) whose derivative at s = 0
     is exactly the negative gradient, so in exact arithmetic the discrete
     trajectory never leaves the orbit (untying it from the measure-zero stable manifolds a
-    plain Euler step falls off).  Convergence is reported through
-    stop_reason:
+    plain Euler step falls off).
+
+    The iterate is held in the eigenframe of its direction A = (4/||t||^2)
+    (m + E I), where exp(-s A) is diagonal: each backtracking candidate is
+    one elementwise scaling by exp(s lam) (see _weight_sums), a
+    renormalization and the moment table, and the gradient norm is
+    ||lam * t||.  An accepted step takes one eigh of the candidate's m, one
+    rotation into the new frame and one n x n product onto the accumulated
+    unitary frame, which takes the terminal (or nu) back to mu's basis once,
+    at the stop.  A start with no imaginary part flows in float64.
+    Convergence is reported through stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
     - certificate: the stratum energy is pinned from both sides at
       ENERGY_TOL, with the lower side L above the floor 1/n by more
       than that tolerance.  L is the running max of ||beta||^2 over the
-      support weights (cut at SUPPORT_TOL) of the iterate in an eigenbasis
-      of m, read at the start, after each step whose count is a power of
-      two and on each plateau step whose count is a power of two, and
-      memoized per support mask.  On the orbit of mu, L <= stratum energy,
+      support weights (cut at SUPPORT_TOL) of the held iterate, read at
+      the start, after each step whose count is a power of two and on each
+      plateau step whose count is a power of two, and memoized per support
+      mask.  On the orbit of mu, L <= stratum energy,
       up to that cut.  The upper side is either E itself (|E - L| within
       the tolerance) or a soliton nu in the orbit closure with |E(nu) - L|
       within it; then nu is the terminal and FlowTrace.witness holds the
@@ -259,17 +266,20 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             "the flow is defined but the terminal need not be a Jordan soliton",
             stacklevel=2,
         )
-    t = mu.table / mu.norm
-    e, direction = _energy_direction(t)
-    evals, vecs = np.linalg.eigh(direction)  # shared by the cap, every backtrack and the certificate
+    # a real start has a real symmetric m and orthogonal eigenframes, so it flows in real arithmetic
+    t = (mu.table if np.any(mu.table.imag) else mu.table.real) / mu.norm
+    e, m, n2 = _energy_moment(t)
+    # the iterate is held in the eigenframe of its direction; frame maps it back to mu's basis
+    t, frame, rates = _eigenframe(t, e, m, n2)
+    lam = _weight_sums(rates)
     energies = [e]
-    grad_norms = [float(np.linalg.norm(_inf_act_table(direction, t)))]
+    grad_norms = [float(np.linalg.norm(lam * t))]
     step = STEP0
     plateau = 0
     memo: dict = {}
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
-    lower, stop_reason, witness = _read_certificate(t, vecs, e, -math.inf, floor, memo)
+    lower, stop_reason, witness = _read_certificate(t, e, -math.inf, floor, memo)
     if grad_norms[0] <= opts.grad_tol:
         stop_reason, witness = "gradient", None
     while stop_reason is None:
@@ -278,12 +288,12 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             break
         gn = grad_norms[-1]
         accepted = False
-        spread = float(np.max(np.abs(evals))) or 1.0
+        spread = float(np.max(np.abs(rates))) or 1.0
         step = min(step, MAX_LOG_STRETCH / spread)
         while step > STEP_FLOOR:
-            cand = _orbit_step(t, evals, vecs, step)
+            cand = t * np.exp(step * lam)
             cand = cand / np.linalg.norm(cand)
-            e2, direction2 = _energy_direction(cand)
+            e2, m, n2 = _energy_moment(cand)
             if e2 <= e - ARMIJO * step * gn * gn:
                 accepted = True
                 break
@@ -292,14 +302,16 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "line_search_floor"
             break
         plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
-        t, e, direction = cand, e2, direction2
-        evals, vecs = np.linalg.eigh(direction)
+        e = e2
+        t, vecs, rates = _eigenframe(cand, e, m, n2)
+        frame = frame @ vecs
+        lam = _weight_sums(rates)
         steps_taken += 1
         energies.append(e)
-        grad_norms.append(float(np.linalg.norm(_inf_act_table(direction, t))))
+        grad_norms.append(float(np.linalg.norm(lam * t)))
         step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
-            lower, stop_reason, witness = _read_certificate(t, vecs, e, lower, floor, memo)
+            lower, stop_reason, witness = _read_certificate(t, e, lower, floor, memo)
             if stop_reason is not None:
                 break
         if plateau >= PLATEAU_WINDOW:
@@ -310,7 +322,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         stop_reason = "left_orbit"
 
     converged = stop_reason not in ("left_orbit", "max_steps")
-    terminal = StructureTensor(t if witness is None else witness[0])
+    terminal = StructureTensor(_unitary_act_table(t if witness is None else witness[0], frame))
     report = soliton_check(terminal)
     return FlowTrace(
         energies=energies,

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import StructureTensor, derivation_algebra, _act_table, _moment_table, _soliton_table
+from .algebra import StructureTensor, derivation_algebra, _moment_table, _soliton_table, _unitary_act_table
 from .snap import format_fraction
 from .weights import SUPPORT_TOL, exact_beta, min_norm_point, support_weights
 
@@ -203,7 +203,7 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"
         )
     evals, vecs = np.linalg.eigh(report.m)
-    rotated = StructureTensor(_act_table(mu.table / mu.norm, vecs, vecs.conj().T))  # m = diag(evals)
+    rotated = StructureTensor(_unitary_act_table(mu.table / mu.norm, vecs.conj().T))  # m = diag(evals)
     vectors = [w.diagonal for w in support_weights(rotated, max(SUPPORT_TOL, tol))]
     return SolitonType(tuple(sorted(exact_beta(vectors, min_norm_point(vectors), evals))))
 

@@ -30,14 +30,8 @@ __all__ = [
     "min_norm_point",
     "certificate_gap",
     "beta_mu",
-    "beta_mu_point",
     "stratum_of",
 ]
-
-
-def beta_mu_point(mu: StructureTensor) -> MinNormPoint:
-    """Raw (float) minimum-norm point over the supported weights (cut at SUPPORT_TOL)."""
-    return min_norm_point([w.diagonal for w in support_weights(mu)])
 
 
 def beta_mu(mu: StructureTensor) -> SolitonType:

@@ -9,7 +9,7 @@ from jordanflow.catalog import builtin, heisenberg, match
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
-from jordanflow.stratify import beta_mu_point, min_norm_point
+from jordanflow.stratify import min_norm_point, support_weights
 
 
 def test_flow_from_semisimple_reaches_minimum(rng):
@@ -113,10 +113,9 @@ def test_non_distinguished_flow_keeps_its_plateau_stop():
 def test_witness_degenerates_the_rotated_start_to_the_terminal():
     mu = builtin("A_4_63").tensor
     trace = run_flow(mu)
-    t = mu.table / mu.norm
-    _, direction = flow._energy_direction(t)
-    _, vecs = np.linalg.eigh(direction)
-    _, rotated, _ = flow._lower_bound(t, vecs, 0.25, {})
+    t = mu.table.real / mu.norm   # a real start flows in real arithmetic
+    rotated, vecs, _ = flow._eigenframe(t, *flow._energy_moment(t))
+    assert flow._lower_bound(rotated, 0.25, {})[0] == pytest.approx(1.5, abs=1e-12)
     target = act(vecs.conj().T, trace.terminal)   # the terminal in the frame of the witness
     last = np.inf
     for s in (0.7, 0.5, 0.3):
@@ -139,14 +138,16 @@ def test_no_witness_no_certificate_for_a_4_63(monkeypatch):
 def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
     # acceptance criterion 3's generic starts: roundoff carries many of these
     # flows off their orbit, down to the floor 1/n, where every tensor's
-    # bound lies; none of them may stop as certified, and the nine that end
-    # below their own lower bound report it
+    # bound lies; none of them may stop as certified, and the ten that end
+    # below their own lower bound report it.  The two counts are roundoff-level
+    # figures of the step loop; the number below the table may only fall
     from conftest import criterion_3_starts
 
     tol = flow.ENERGY_TOL
-    certified = left = 0
+    certified = left = below = 0
     for entry, start in criterion_3_starts():
         trace = run_flow(start)
+        below += trace.terminal_energy < float(entry.expected_energy) - 1e-9
         assert trace.lower_bound <= float(entry.expected_energy) + 1e-12
         if trace.stop_reason == "certificate":
             certified += 1
@@ -159,8 +160,9 @@ def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
             left += 1
             assert not trace.converged
             assert trace.terminal_type is None
-    assert certified == 25
-    assert left == 9
+    assert certified == 30
+    assert left == 10
+    assert below <= 85
 
 
 def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):
@@ -168,7 +170,8 @@ def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):
     trace = run_flow(start)
     diffs = np.diff(trace.energies)
     assert np.all(diffs <= 1e-15)
-    floor = float(beta_mu_point(start).point @ beta_mu_point(start).point)
+    point = min_norm_point([w.diagonal for w in support_weights(start)]).point
+    floor = float(point @ point)
     assert trace.terminal_energy >= floor - 1e-9
 
 

@@ -27,7 +27,7 @@ from jordanflow.algebra import (
     _soliton_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, STEP0, FlowOptions, run_flow
+from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow
 from jordanflow.moment import energy, energy_gradient, moment_matrix, soliton_check
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -35,6 +35,7 @@ REL = 1e-12
 KERNEL_CASES = settings(max_examples=60, deadline=None, database=None)
 dims = st.integers(min_value=1, max_value=8)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+catalog_names = st.sampled_from(names())
 
 
 def ref_act(t, h, g):
@@ -134,7 +135,10 @@ def test_soliton_table_matches_the_moment_map_formulas(n, seed):
 
 
 def einsum_flow_step(t, step):
-    """One accepted step of the flow with the einsum kernels and the eigendecomposition per candidate."""
+    """One accepted step of the flow with the einsum kernels and the eigendecomposition per candidate.
+
+    Returns the unit-norm step, its energy and the step size accepted.
+    """
 
     def energy_direction(x):
         n2 = float(np.sum(np.abs(x) ** 2))
@@ -146,7 +150,7 @@ def einsum_flow_step(t, step):
     e, direction = energy_direction(t)
     gn = norm(ref_inf_act(direction, t))
     step = min(step, MAX_LOG_STRETCH / float(np.max(np.abs(np.linalg.eigvalsh(direction)))))
-    while True:
+    while step > STEP_FLOOR:
         evals, vecs = np.linalg.eigh(direction)
         g = vecs @ np.diag(np.exp(-step * evals)) @ vecs.conj().T
         h = vecs @ np.diag(np.exp(step * evals)) @ vecs.conj().T
@@ -155,8 +159,9 @@ def einsum_flow_step(t, step):
         cand = cand / np.linalg.norm(cand)
         e2, _ = energy_direction(cand)
         if e2 <= e - ARMIJO * step * gn * gn:
-            return cand, e2
+            return cand, e2, step
         step *= 0.5
+    raise AssertionError("no descent above STEP_FLOOR")
 
 
 @pytest.mark.parametrize("name, n", [("A_3_2", 3), ("A_4_20", 4)])
@@ -165,15 +170,52 @@ def test_one_flow_step_matches_einsum_step(name, n):
     start = act(g, builtin(name).tensor)
     trace = run_flow(start, FlowOptions(max_steps=1))
     assert trace.steps_taken == 1
-    ref_table, ref_energy = einsum_flow_step(start.table, STEP0)
+    ref_table, ref_energy, _ = einsum_flow_step(start.table, STEP0)
     assert norm(trace.terminal.table - ref_table) <= 1e-12
     assert trace.energies[1] == pytest.approx(ref_energy, rel=1e-12)
 
 
+@KERNEL_CASES
+@given(n=dims, seed=seeds, real=st.booleans(), k=st.integers(min_value=1, max_value=4))
+@pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
+def test_flow_matches_einsum_steps(n, seed, real, k):
+    """k steps of the eigenframe loop against k einsum steps, under the 1.1 step growth, from real and
+    complex starts; the einsum step acts by exp(-s A) in the start's basis."""
+    start = random_symmetric_tensor(np.random.default_rng(seed), n)
+    if real:
+        start = StructureTensor(start.table.real)
+    trace = run_flow(start, FlowOptions(max_steps=k))
+    if n == 1:  # every tensor of dimension 1 is critical at E = 1/n
+        assert trace.stop_reason == "gradient" and trace.steps_taken == 0
+        return
+    assert trace.stop_reason == "max_steps" and trace.steps_taken == k
+    t, step = start.table, STEP0
+    for i in range(1, k + 1):
+        t, e, step = einsum_flow_step(t, step)
+        assert trace.energies[i] == pytest.approx(e, rel=REL)
+        step *= 1.1
+    assert norm(trace.terminal.table - t) <= REL
+
+
+@KERNEL_CASES
+@given(name=catalog_names, seed=seeds, theta=st.floats(min_value=0.1, max_value=6.2))
+def test_a_real_start_and_its_phase_copy_flow_alike(name, seed, theta):
+    """e^{i theta} mu = (e^{-i theta} I) . mu lies on the unitary orbit of mu: the real start flows in
+    real arithmetic, its copy in complex arithmetic, and the two give the same energies."""
+    rng = np.random.default_rng(seed)
+    mu = builtin(name).tensor
+    q, _ = np.linalg.qr(rng.normal(size=(mu.dim, mu.dim)))
+    start = act(q * np.exp(0.5 * rng.normal(size=mu.dim)), mu)   # a real basis change
+    assert not np.any(start.table.imag)
+    real = run_flow(start, FlowOptions(max_steps=10))
+    phased = run_flow(start.scaled(np.exp(1j * theta)), FlowOptions(max_steps=10))
+    assert not np.any(real.terminal.table.imag)
+    assert real.steps_taken == phased.steps_taken and real.stop_reason == phased.stop_reason
+    assert np.allclose(real.energies, phased.energies, atol=REL, rtol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # rank kernels
-
-catalog_names = st.sampled_from(names())
 
 
 def ref_operator_matrix(t, terms):

@@ -10,7 +10,6 @@ from jordanflow.moment import SolitonType, moment_map, energy, soliton_check
 from jordanflow.sampling import random_group_element, random_unitary
 from jordanflow.stratify import (
     beta_mu,
-    beta_mu_point,
     certificate_gap,
     min_norm_point,
     stratum_of,
@@ -236,7 +235,7 @@ def test_beta_mu_equals_moment_spectrum_on_solitons():
         if not entry.distinguished:
             continue
         evals = np.sort(np.linalg.eigvalsh(moment_map(entry.tensor)))
-        point = np.sort(beta_mu_point(entry.tensor).point)
+        point = np.sort(min_norm_point([w.diagonal for w in support_weights(entry.tensor)]).point)
         assert np.allclose(evals, point, atol=1e-7), name
         assert beta_mu(entry.tensor).beta == entry.expected_beta, name
 
@@ -245,7 +244,7 @@ def test_energy_dominates_beta_mu_norm():
     # Cor. of the diagonal-moment convexity: E >= ||beta_mu||^2
     for name in names():
         mu = builtin(name).tensor
-        res = beta_mu_point(mu)
+        res = min_norm_point([w.diagonal for w in support_weights(mu)])
         assert energy(mu) >= float(res.point @ res.point) - 1e-9, name
 
 
@@ -298,7 +297,7 @@ def test_stratum_counts_match_tables():
 def test_certificate_gap_is_the_membership_test():
     # <beta, alpha> >= ||beta||^2 over the support is exactly W_beta membership
     mu = builtin("A_4_63").tensor
-    res = beta_mu_point(mu)
     vecs = [w.diagonal for w in support_weights(mu)]
+    res = min_norm_point(vecs)
     assert certificate_gap(res.point, vecs) >= -1e-10
     assert float(res.point @ res.point) == pytest.approx(1.5, abs=1e-9)
