@@ -186,20 +186,41 @@ def tensor_inner(a: StructureTensor, b: StructureTensor) -> complex:
 # identities
 
 
+def _associator_table(t: np.ndarray) -> np.ndarray:
+    """assoc[p, q, r, k] = ((e_p e_q) e_r - e_p (e_q e_r))_k of a symmetric table.
+
+    Both terms are entries of one (n^2, n^2) product: with
+    prod[(x, y), (z, k)] = sum_m t[x, y, m] t[m, z, k], the first is
+    prod[(p, q), (r, k)] and the second, by t[p, m, k] = t[m, p, k],
+    prod[(q, r), (p, k)].
+    """
+    n = t.shape[0]
+    prod = (t.reshape(n * n, n) @ t.reshape(n, n * n)).reshape(n, n, n, n)
+    return prod - prod.transpose(2, 0, 1, 3)
+
+
+def _worst_row(table: np.ndarray) -> float:
+    """Largest Euclidean norm over the last axis."""
+    return float(np.sqrt(np.max(np.sum(np.abs(table) ** 2, axis=-1))))
+
+
 def jordan_defect(mu: StructureTensor) -> float:
     """Worst violation of (ab,c,d) + (bd,c,a) + (da,c,b) = 0 over basis quadruples.
 
     (x,y,z) = (xy)z - x(yz).  Zero exactly on Jordan multiplications; by
-    multilinearity the basis scan is equivalent to the full identity.
+    multilinearity the basis scan is equivalent to the full identity.  The
+    three terms are the cyclic permutations of (a, b, d) in one product
+    prod[c, a, b, d, k] = sum_m t[a, b, m] assoc[m, c, d, k], formed as n
+    (n^2, n) @ (n, n^2) matmuls, one per c.  The split keeps each product
+    below BLAS's threading threshold: spread over threads, a single
+    (n^2, n) @ (n, n^4) product at n = 7 or 8 is slower than the four
+    einsums it replaces.
     """
     t = mu.table
-    assoc = np.einsum("pqm,mrk->pqrk", t, t) - np.einsum("qrm,pmk->pqrk", t, t)
-    cyc = (
-        np.einsum("abm,mcdk->abcdk", t, assoc)
-        + np.einsum("bdm,mcak->abcdk", t, assoc)
-        + np.einsum("dam,mcbk->abcdk", t, assoc)
-    )
-    return float(np.sqrt(np.max(np.sum(np.abs(cyc) ** 2, axis=-1)))) if mu.dim else 0.0
+    n = mu.dim
+    per_c = _associator_table(t).reshape(n, n, n * n).transpose(1, 0, 2)   # [c, m, (d, k)]
+    prod = (t.reshape(n * n, n) @ per_c).reshape(n, n, n, n, n)
+    return _worst_row(prod + prod.transpose(0, 3, 1, 2, 4) + prod.transpose(0, 2, 3, 1, 4))
 
 
 def is_jordan(mu: StructureTensor, tol: float = 1e-9) -> bool:
@@ -208,9 +229,7 @@ def is_jordan(mu: StructureTensor, tol: float = 1e-9) -> bool:
 
 def associator_defect(mu: StructureTensor) -> float:
     """Worst associator norm ||(e_i e_j) e_k - e_i (e_j e_k)|| over basis triples."""
-    t = mu.table
-    assoc = np.einsum("pqm,mrk->pqrk", t, t) - np.einsum("qrm,pmk->pqrk", t, t)
-    return float(np.sqrt(np.max(np.sum(np.abs(assoc) ** 2, axis=-1)))) if mu.dim else 0.0
+    return _worst_row(_associator_table(mu.table))
 
 
 def is_associative(mu: StructureTensor, tol: float = 1e-9) -> bool:

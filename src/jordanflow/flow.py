@@ -17,6 +17,11 @@ The upper side may also be a soliton in the orbit closure: the truncation
 of the rotated iterate to Wolfe's active weights, reached by an integer
 one-parameter subgroup that is checked exactly.  A flow whose energy
 falls below its lower bound has left its orbit and is reported as such.
+
+The lower bound and Wolfe's face depend on the support mask alone, so they
+are kept per mask for the whole process, in an LRU cache of MASK_MEMO_SIZE
+masks.  Where m is already diagonal in ascending order the held frame is
+kept as it is, which is what eigh would return there, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,15 +30,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
-from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
+from .moment import MomentReport, SolitonType, _soliton_type, energy_gradient, soliton_check
 from .snap import RationalSnapError
-from .weights import (SUPPORT_TOL, degeneration_witness, exact_min_norm_point, min_norm_point,
-                      support_weights)
+from .weights import SUPPORT_TOL, _mask_weights, degeneration_witness, exact_min_norm_point, min_norm_point
 
 ARMIJO = 1e-4
 STEP0 = 1e-2          # first trial step size
@@ -45,6 +49,9 @@ PLATEAU_WINDOW = 500  # steps in a row each lowering E by less than ENERGY_TOL
 # bound on step * spectral radius of the direction, so each orbit move
 # exp(-s A) stays well conditioned and roundoff cannot hop orbits
 MAX_LOG_STRETCH = 2.0
+# support masks whose lower bound and face are kept for the whole process;
+# the flows of a run meet a few dozen (full supports, catalog supports)
+MASK_MEMO_SIZE = 256
 
 __all__ = ["FlowOptions", "FlowTrace", "run_flow", "DegenerationCurve", "apply_curve"]
 
@@ -81,7 +88,8 @@ class FlowTrace:
         if not self.converged:
             return None
         try:
-            return soliton_type(self.terminal, tol=max(10 * self.terminal_report.soliton_residual, 1e-12))
+            return _soliton_type(self.terminal, self.terminal_report,
+                                 max(10 * self.terminal_report.soliton_residual, 1e-12))
         except (RationalSnapError, ValueError):
             return None
 
@@ -104,16 +112,27 @@ def _energy_moment(t: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(np.vdot(m, m).real), m, n2
 
 
-def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t rotated into an eigenframe V of m, V, and the eigenvalues there of the direction A.
+def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
+                frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t rotated into an eigenframe V of m, frame @ V, and the eigenvalues there of the direction A.
 
     grad E = (4/||t||^2) (m . t - E t) = A . t with A = (4/||t||^2) (m + E I),
     so the negative gradient is tangent to the orbit and the flow can be
     discretized by group elements exp(-s A), never leaving the orbit.  A
     shares m's eigenframe, in which it acts diagonally (see _weight_sums).
+
+    When m is exactly diagonal with a non-decreasing diagonal, the held
+    frame already is an ascending eigenframe (V = I, on which eigh agrees
+    bit for bit), so t and frame come back as they are, with no eigh and no
+    rotation.  Torus starts of sparse tensors stay in this case: their
+    weight spaces keep m diagonal at every step.
     """
+    diag = m.diagonal().real
+    # m's diagonal is real, so m is diagonal exactly when it has no other nonzero entry
+    if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(diag[:-1] <= diag[1:]):
+        return t, frame, 4.0 / n2 * (diag + e)
     evals, vecs = np.linalg.eigh(m)
-    return _unitary_act_table(t, vecs.conj().T), vecs, 4.0 / n2 * (evals + e)
+    return _unitary_act_table(t, vecs.conj().T), frame @ vecs, 4.0 / n2 * (evals + e)
 
 
 def _weight_sums(evals: np.ndarray) -> np.ndarray:
@@ -141,40 +160,43 @@ class _Face:
         return None if beta is None else degeneration_witness(self.vectors, self.active, beta)
 
 
-def _lower_bound(rotated: np.ndarray, above: float,
-                 memo: dict[bytes, tuple[float, _Face | None]]) -> tuple[float, _Face | None]:
+def _lower_bound(rotated: np.ndarray) -> tuple[float, _Face | None]:
     """||beta||^2 of the support weights of rotated, a table held in a frame that diagonalizes its m.
 
     The frame is unitary, so rotated lies in the orbit of the caller's
     tensor.  The support is cut at SUPPORT_TOL of the largest coefficient,
     so the result bounds the stratum energy of rotated with its sub-cut
-    coefficients dropped.  Returns the bound and, for a bound above `above`
-    whose Wolfe active set is smaller than the support, that active face,
-    else None.  memo holds bound and face per support mask.
+    coefficients dropped.  Returns the bound and, for a bound above the
+    floor 1/n by more than ENERGY_TOL whose Wolfe active set is smaller than
+    the support, that active face, else None.  Both depend on the support
+    mask alone, and _mask_bound keeps them per mask for the whole process.
     """
     mags = np.abs(rotated)
     support = mags > SUPPORT_TOL * np.max(mags)
-    key = support.tobytes()
-    if key not in memo:
-        weights = support_weights(StructureTensor(rotated))
-        vectors = [w.diagonal for w in weights]
-        result = min_norm_point(vectors)
-        bound = float(result.point @ result.point)
-        active = [int(i) for i in np.flatnonzero(result.coefficients)]
-        face = None
-        # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
-        # nothing can certify, so no face is kept there
-        if bound > above and len(active) < len(vectors):
-            keep = np.zeros_like(support)
-            for i, j, k in (slot for idx in active for slot in weights[idx].triples):
-                keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
-            face = _Face(keep, vectors, active)
-        memo[key] = (bound, face)
-    return memo[key]
+    return _mask_bound(support.tobytes(), rotated.shape[0])
 
 
-def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
-                      memo: dict) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
+@lru_cache(maxsize=MASK_MEMO_SIZE)
+def _mask_bound(key: bytes, n: int) -> tuple[float, _Face | None]:
+    """_lower_bound's bound and face on the (n, n, n) support mask whose bytes are key."""
+    support = np.frombuffer(key, dtype=bool).reshape(n, n, n)
+    weights = _mask_weights(support)
+    vectors = [w.diagonal for w in weights]
+    result = min_norm_point(vectors)
+    bound = float(result.point @ result.point)
+    active = [int(i) for i in np.flatnonzero(result.coefficients)]
+    # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
+    # nothing can certify, so no face is kept there
+    if bound <= 1.0 / n + ENERGY_TOL or len(active) == len(vectors):
+        return bound, None
+    keep = np.zeros_like(support)
+    for i, j, k in (slot for idx in active for slot in weights[idx].triples):
+        keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
+    return bound, _Face(keep, vectors, active)
+
+
+def _read_certificate(rotated: np.ndarray, e: float, lower: float,
+                      floor: float) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
     """One read of the lower bound at the iterate rotated of energy e, held in an eigenframe of its m.
 
     Returns the new running max of L, a stop reason (left_orbit,
@@ -183,7 +205,7 @@ def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
     nu is tested in floats first; the exact witness is worked out, once per
     support mask, only for a nu that is a soliton at energy L.
     """
-    bound, face = _lower_bound(rotated, floor + ENERGY_TOL, memo)
+    bound, face = _lower_bound(rotated)
     lower = max(lower, bound)
     if e < lower - ENERGY_TOL:
         return lower, "left_orbit", None
@@ -219,7 +241,10 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     ||lam * t||.  An accepted step takes one eigh of the candidate's m, one
     rotation into the new frame and one n x n product onto the accumulated
     unitary frame, which takes the terminal (or nu) back to mu's basis once,
-    at the stop.  A start with no imaginary part flows in float64.
+    at the stop.  When the candidate's m is exactly diagonal with an
+    ascending diagonal (torus starts of sparse tensors), the step keeps the
+    held frame and skips all three: eigh returns exactly (diag m, I) there.  A
+    start with no imaginary part flows in float64.
     Convergence is reported through stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
@@ -229,7 +254,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       support weights (cut at SUPPORT_TOL) of the held iterate, read at
       the start, after each step whose count is a power of two and on each
       plateau step whose count is a power of two, and memoized per support
-      mask.  On the orbit of mu, L <= stratum energy,
+      mask for the whole process.  On the orbit of mu, L <= stratum energy,
       up to that cut.  The upper side is either E itself (|E - L| within
       the tolerance) or a soliton nu in the orbit closure with |E(nu) - L|
       within it; then nu is the terminal and FlowTrace.witness holds the
@@ -270,16 +295,15 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     t = (mu.table if np.any(mu.table.imag) else mu.table.real) / mu.norm
     e, m, n2 = _energy_moment(t)
     # the iterate is held in the eigenframe of its direction; frame maps it back to mu's basis
-    t, frame, rates = _eigenframe(t, e, m, n2)
+    t, frame, rates = _eigenframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
     lam = _weight_sums(rates)
     energies = [e]
     grad_norms = [float(np.linalg.norm(lam * t))]
     step = STEP0
     plateau = 0
-    memo: dict = {}
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
-    lower, stop_reason, witness = _read_certificate(t, e, -math.inf, floor, memo)
+    lower, stop_reason, witness = _read_certificate(t, e, -math.inf, floor)
     if grad_norms[0] <= opts.grad_tol:
         stop_reason, witness = "gradient", None
     while stop_reason is None:
@@ -303,15 +327,14 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             break
         plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
         e = e2
-        t, vecs, rates = _eigenframe(cand, e, m, n2)
-        frame = frame @ vecs
+        t, frame, rates = _eigenframe(cand, e, m, n2, frame)
         lam = _weight_sums(rates)
         steps_taken += 1
         energies.append(e)
         grad_norms.append(float(np.linalg.norm(lam * t)))
         step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
-            lower, stop_reason, witness = _read_certificate(t, e, lower, floor, memo)
+            lower, stop_reason, witness = _read_certificate(t, e, lower, floor)
             if stop_reason is not None:
                 break
         if plateau >= PLATEAU_WINDOW:

@@ -197,8 +197,12 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     the soliton criterion at tol and RationalSnapError when no exact beta is
     certified.
     """
-    report = soliton_check(mu, tol)
-    if not report.is_soliton:
+    return _soliton_type(mu, soliton_check(mu, tol), tol)
+
+
+def _soliton_type(mu: StructureTensor, report: MomentReport, tol: float) -> SolitonType:
+    """soliton_type of mu read from report, mu's soliton_check at any tolerance, gated at tol."""
+    if not report.soliton_residual <= tol:
         raise ValueError(
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"
         )

@@ -51,16 +51,29 @@ class WeightVector:
 
 def support_weights(mu: StructureTensor, tol: float = SUPPORT_TOL) -> list[WeightVector]:
     """Distinct weight vectors of the coefficients with |mu_ij^k| > tol * max|coeff|."""
-    mx = float(np.max(np.abs(mu.table)))
+    mags = np.abs(mu.table)
+    mx = float(np.max(mags))
     if mx == 0.0:
         raise ValueError("the zero tensor has empty support")
+    return _mask_weights(mags > tol * mx)
+
+
+def _mask_weights(support: np.ndarray) -> list[WeightVector]:
+    """Distinct weight vectors of the slots (i, j, k), i <= j, of an (n, n, n) support mask.
+
+    The mask is read on the i <= j triangle only, so it should be symmetric
+    in its first two axes.  Weights come sorted by diagonal, each with its
+    slots in (i, j, k) order.
+    """
+    n = support.shape[0]
     seen: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    for i, j, k, _ in mu.products(tol=tol * mx):
-        diag = [0] * mu.dim
-        diag[i - 1] -= 1
-        diag[j - 1] -= 1
-        diag[k - 1] += 1
-        seen.setdefault(tuple(diag), []).append((i, j, k))
+    for i, j, k in np.argwhere(support).tolist():
+        if i <= j:
+            diag = [0] * n
+            diag[i] -= 1
+            diag[j] -= 1
+            diag[k] += 1
+            seen.setdefault(tuple(diag), []).append((i + 1, j + 1, k + 1))
     return [WeightVector(diag, tuple(triples)) for diag, triples in sorted(seen.items())]
 
 

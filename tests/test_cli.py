@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanflow import cli, stratify
+from jordanflow import cli, moment, stratify
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 from jordanflow.stratify import stratum_of
@@ -35,6 +35,23 @@ def test_moment_json_golden(capsys):
     assert out == (DATA / "moment_a_2_3.json").read_text()
     payload = json.loads(out)
     assert payload["soliton_type"]["beta"] == ["-2", "1"]
+
+
+def test_moment_checks_a_soliton_once(capsys, monkeypatch):
+    # the type is read off the report the command already made
+    calls = []
+    check = moment.soliton_check
+
+    def counting(mu, *args, **kwargs):
+        calls.append(mu.dim)
+        return check(mu, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "soliton_check", counting)
+    monkeypatch.setattr(moment, "soliton_check", counting)
+    code, out, _ = run_cli(capsys, "moment", "--catalog", "A_3_7", "--json")
+    assert code == 0
+    assert json.loads(out)["soliton_type"] is not None
+    assert calls == [3]
 
 
 def test_stratify_json_golden(capsys):

@@ -12,6 +12,14 @@ from jordanflow.sampling import random_group_element, random_symmetric_tensor, r
 from jordanflow.stratify import min_norm_point, support_weights
 
 
+@pytest.fixture
+def fresh_memo():
+    """An empty process-wide mask memo, emptied again afterwards so no stubbed result outlives the test."""
+    flow._mask_bound.cache_clear()
+    yield
+    flow._mask_bound.cache_clear()
+
+
 def test_flow_from_semisimple_reaches_minimum(rng):
     mu = builtin("A_3_2").tensor
     for _ in range(3):
@@ -68,7 +76,7 @@ def test_torus_starts_stop_on_the_certificate(rng, name):
         assert trace.witness is None  # E itself met L
 
 
-def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch):
+def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch, fresh_memo):
     # A_4_63's three support weights all lie on <alpha, beta> = ||beta||^2,
     # but Wolfe keeps two of them; truncating to those gives e1e2 = e3,
     # e1e3 = e4, a soliton at L = 3/2 in the orbit closure, so the flow
@@ -93,6 +101,25 @@ def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch):
     assert calls == [3]
 
 
+def test_a_second_flow_on_the_same_start_reuses_the_mask_memo(monkeypatch, fresh_memo):
+    # bound and face depend on the support mask alone, so they are shared across flows
+    calls = []
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return min_norm_point(vectors)
+
+    monkeypatch.setattr(flow, "min_norm_point", counting)
+    start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
+    first = run_flow(start)
+    assert calls
+    calls.clear()
+    again = run_flow(start)
+    assert calls == []
+    assert again.energies == first.energies and again.stop_reason == first.stop_reason
+    assert again.lower_bound == first.lower_bound
+
+
 def test_non_distinguished_flow_keeps_its_plateau_stop():
     # a torus start of A_4_63: its truncation to Wolfe's face is not yet
     # critical, so no witness fires: L reads 3/2 but E approaches it only
@@ -110,12 +137,13 @@ def test_non_distinguished_flow_keeps_its_plateau_stop():
     assert match(trace.terminal) == ["A_4_63"]
 
 
-def test_witness_degenerates_the_rotated_start_to_the_terminal():
+def test_witness_degenerates_the_rotated_start_to_the_terminal(fresh_memo):
     mu = builtin("A_4_63").tensor
     trace = run_flow(mu)
     t = mu.table.real / mu.norm   # a real start flows in real arithmetic
-    rotated, vecs, _ = flow._eigenframe(t, *flow._energy_moment(t))
-    assert flow._lower_bound(rotated, 0.25, {})[0] == pytest.approx(1.5, abs=1e-12)
+    rotated, vecs, _ = flow._eigenframe(t, *flow._energy_moment(t), np.eye(4))
+    flow._mask_bound.cache_clear()
+    assert flow._lower_bound(rotated)[0] == pytest.approx(1.5, abs=1e-12)
     target = act(vecs.conj().T, trace.terminal)   # the terminal in the frame of the witness
     last = np.inf
     for s in (0.7, 0.5, 0.3):
@@ -126,7 +154,7 @@ def test_witness_degenerates_the_rotated_start_to_the_terminal():
     assert last < 1e-9
 
 
-def test_no_witness_no_certificate_for_a_4_63(monkeypatch):
+def test_no_witness_no_certificate_for_a_4_63(monkeypatch, fresh_memo):
     # without an exactly checked exponent vector the truncation is never tried
     monkeypatch.setattr(flow, "degeneration_witness", lambda *args: None)
     trace = run_flow(builtin("A_4_63").tensor, FlowOptions(max_steps=3))

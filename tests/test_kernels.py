@@ -2,7 +2,8 @@
 
 The einsum forms below are the reference: the same sums written index by
 index.  The kernels reorder the sums, so they agree to roundoff, checked
-at 1e-12 relative to the size of the operands.  The rank kernels are
+at 1e-12 relative to the size of the operands.  The flow's diagonal-frame
+path is checked bit for bit against the eigh path it skips.  The rank kernels are
 checked against the column-by-column operator matrices, the full-SVD rank
 cut and the vector-by-vector power chain.
 """
@@ -11,12 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from jordanflow.algebra import (
     RANK_TOL,
     StructureTensor,
     act,
+    associator_defect,
+    jordan_defect,
     power_dims,
     soliton_product,
     _act_table,
@@ -25,9 +28,11 @@ from jordanflow.algebra import (
     _operator_matrix,
     _rank_split,
     _soliton_table,
+    _unitary_act_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow
+from jordanflow.flow import (ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow, _eigenframe,
+                             _energy_moment)
 from jordanflow.moment import energy, energy_gradient, moment_matrix, soliton_check
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -53,6 +58,33 @@ def ref_inf_act(a, t):
         - np.einsum("ljc,li->ijc", t, a)
         - np.einsum("ilc,lj->ijc", t, a)
     )
+
+
+def ref_associator(t):
+    return np.einsum("pqm,mrk->pqrk", t, t) - np.einsum("qrm,pmk->pqrk", t, t)
+
+
+def ref_jordan_cycle(t):
+    """(ab,c,d) + (bd,c,a) + (da,c,b) on basis quadruples, indexed [a, b, c, d, k]."""
+    assoc = ref_associator(t)
+    return (
+        np.einsum("abm,mcdk->abcdk", t, assoc)
+        + np.einsum("bdm,mcak->abcdk", t, assoc)
+        + np.einsum("dam,mcbk->abcdk", t, assoc)
+    )
+
+
+def worst_row(x) -> float:
+    return float(np.sqrt(np.max(np.sum(np.abs(x) ** 2, axis=-1))))
+
+
+def torus_start(name, seed, tie=False):
+    """diag(e^u) . mu of a catalog entry, u ~ N(0, 1/4); tie sets u_2 = u_1."""
+    mu = builtin(name).tensor
+    u = 0.5 * np.random.default_rng(seed).normal(size=mu.dim)
+    if tie and mu.dim > 1:
+        u[1] = u[0]
+    return act(np.diag(np.exp(u)), mu)
 
 
 def complex_matrix(rng, n):
@@ -89,6 +121,18 @@ def test_inf_act_table_matches_einsum(n, seed):
     t = random_symmetric_tensor(rng, n).table
     a = complex_matrix(rng, n)
     assert norm(_inf_act_table(a, t) - ref_inf_act(a, t)) <= REL * norm(a) * norm(t)
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds, real=st.booleans())
+def test_defect_kernels_match_einsum(n, seed, real):
+    mu = random_symmetric_tensor(np.random.default_rng(seed), n)
+    if real:
+        mu = StructureTensor(mu.table.real)
+    t = mu.table
+    scale = norm(t) ** 2
+    assert abs(associator_defect(mu) - worst_row(ref_associator(t))) <= REL * scale
+    assert abs(jordan_defect(mu) - worst_row(ref_jordan_cycle(t))) <= REL * scale * norm(t)
 
 
 @KERNEL_CASES
@@ -176,17 +220,31 @@ def test_one_flow_step_matches_einsum_step(name, n):
 
 
 @KERNEL_CASES
-@given(n=dims, seed=seeds, real=st.booleans(), k=st.integers(min_value=1, max_value=4))
+@given(n=dims, seed=seeds, real=st.booleans(), k=st.integers(min_value=1, max_value=4),
+       name=st.none() | catalog_names, tie=st.booleans())
+@example(n=4, seed=1, real=True, k=4, name="A_4_2", tie=False)    # unsorted diagonal of m at the start
+@example(n=4, seed=1, real=False, k=4, name="A_4_2", tie=True)    # tied diagonal entries of m
+@example(n=3, seed=1, real=True, k=4, name="A_3_1", tie=True)
 @pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
-def test_flow_matches_einsum_steps(n, seed, real, k):
+def test_flow_matches_einsum_steps(n, seed, real, k, name, tie):
     """k steps of the eigenframe loop against k einsum steps, under the 1.1 step growth, from real and
-    complex starts; the einsum step acts by exp(-s A) in the start's basis."""
-    start = random_symmetric_tensor(np.random.default_rng(seed), n)
-    if real:
-        start = StructureTensor(start.table.real)
+    complex starts; the einsum step acts by exp(-s A) in the start's basis.  With a catalog name the
+    start is a torus start diag(e^u) . mu, whose m stays exactly diagonal, so the loop keeps its frame
+    on the steps where m's diagonal is ascending; a complex one is its copy times e^{0.7 i}."""
+    if name is None:
+        start = random_symmetric_tensor(np.random.default_rng(seed), n)
+        if real:
+            start = StructureTensor(start.table.real)
+    else:
+        start = torus_start(name, seed, tie)
+        if not real:
+            start = start.scaled(np.exp(0.7j))
     trace = run_flow(start, FlowOptions(max_steps=k))
-    if n == 1:  # every tensor of dimension 1 is critical at E = 1/n
+    if start.dim == 1 or trace.stop_reason == "gradient":
+        # every tensor of dimension 1 is critical at E = 1/n, and so is a torus start that only rescales mu
+        assert name is not None or start.dim == 1
         assert trace.stop_reason == "gradient" and trace.steps_taken == 0
+        assert norm(trace.terminal.table - start.table / start.norm) <= REL
         return
     assert trace.stop_reason == "max_steps" and trace.steps_taken == k
     t, step = start.table, STEP0
@@ -195,6 +253,36 @@ def test_flow_matches_einsum_steps(n, seed, real, k):
         assert trace.energies[i] == pytest.approx(e, rel=REL)
         step *= 1.1
     assert norm(trace.terminal.table - t) <= REL
+
+
+@KERNEL_CASES
+@given(name=catalog_names, seed=seeds, real=st.booleans(), tie=st.booleans(), ascending=st.booleans())
+@example(name="A_3_1", seed=1, real=True, tie=True, ascending=True)
+@example(name="A_4_2", seed=1, real=False, tie=True, ascending=True)
+def test_eigenframe_matches_the_eigh_path_bit_for_bit_on_a_diagonal_m(name, seed, real, tie, ascending):
+    """On an exactly diagonal m the frame update is that of eigh, bit for bit: with an ascending
+    diagonal, ties included, the held frame is kept (eigh returns V = I there); with a descending one,
+    eigh's permutation is applied."""
+    rng = np.random.default_rng(seed)
+    start = torus_start(name, seed, tie)
+    t = start.table.real / start.norm if real else start.table * np.exp(0.7j) / start.norm
+    order = np.argsort(_energy_moment(t)[1].diagonal().real, kind="stable")
+    if not ascending:
+        order = order[::-1]
+    t = t[np.ix_(order, order, order)]   # a basis permutation that sorts m's diagonal
+    e, m, n2 = _energy_moment(t)
+    diag = m.diagonal().real
+    assume(np.count_nonzero(m) == np.count_nonzero(diag))
+    assume(np.all(diag[:-1] <= diag[1:]) if ascending else np.any(diag[:-1] > diag[1:]))
+    n = start.dim
+    frame = np.linalg.qr(rng.normal(size=(n, n)) if real else complex_matrix(rng, n))[0]
+    kept, kept_frame, rates = _eigenframe(t, e, m, n2, frame)
+    evals, vecs = np.linalg.eigh(m)
+    assert np.array_equal(kept, _unitary_act_table(t, vecs.conj().T))
+    assert np.array_equal(rates, 4.0 / n2 * (evals + e))
+    assert np.array_equal(kept_frame, frame @ vecs)
+    if ascending:
+        assert kept is t and kept_frame is frame
 
 
 @KERNEL_CASES
