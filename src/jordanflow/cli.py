@@ -20,7 +20,6 @@ from .algebra import (
     dump_tensor,
     has_unit,
     is_associative,
-    is_nilpotent,
     jordan_defect,
     load_tensor,
     power_dims,
@@ -121,7 +120,7 @@ def cmd_invariants(args) -> int:
         "derivation_dim": der_dim,
         "annihilator_dim": ann.dim,
         "power_dims": dims,
-        "is_nilpotent": is_nilpotent(mu),
+        "is_nilpotent": dims[-1] == 0,
         "is_semisimple": rad.dim == 0,
         "is_associative": is_associative(mu),
         "has_unit": has_unit(mu),

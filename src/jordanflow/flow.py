@@ -37,7 +37,8 @@ import numpy as np
 from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
 from .moment import MomentReport, SolitonType, _soliton_type, energy_gradient, soliton_check
 from .snap import RationalSnapError
-from .weights import SUPPORT_TOL, _mask_weights, degeneration_witness, exact_min_norm_point, min_norm_point
+from .weights import (MASK_MEMO_SIZE, _active_set, _mask_weights, degeneration_witness, exact_min_norm_point,
+                      min_norm_point, support_mask)
 
 ARMIJO = 1e-4
 STEP0 = 1e-2          # first trial step size
@@ -49,9 +50,6 @@ PLATEAU_WINDOW = 500  # steps in a row each lowering E by less than ENERGY_TOL
 # bound on step * spectral radius of the direction, so each orbit move
 # exp(-s A) stays well conditioned and roundoff cannot hop orbits
 MAX_LOG_STRETCH = 2.0
-# support masks whose lower bound and face are kept for the whole process;
-# the flows of a run meet a few dozen (full supports, catalog supports)
-MASK_MEMO_SIZE = 256
 
 __all__ = ["FlowOptions", "FlowTrace", "run_flow", "DegenerationCurve", "apply_curve"]
 
@@ -171,9 +169,7 @@ def _lower_bound(rotated: np.ndarray) -> tuple[float, _Face | None]:
     the support, that active face, else None.  Both depend on the support
     mask alone, and _mask_bound keeps them per mask for the whole process.
     """
-    mags = np.abs(rotated)
-    support = mags > SUPPORT_TOL * np.max(mags)
-    return _mask_bound(support.tobytes(), rotated.shape[0])
+    return _mask_bound(support_mask(rotated).tobytes(), rotated.shape[0])
 
 
 @lru_cache(maxsize=MASK_MEMO_SIZE)
@@ -184,7 +180,7 @@ def _mask_bound(key: bytes, n: int) -> tuple[float, _Face | None]:
     vectors = [w.diagonal for w in weights]
     result = min_norm_point(vectors)
     bound = float(result.point @ result.point)
-    active = [int(i) for i in np.flatnonzero(result.coefficients)]
+    active = _active_set(result)
     # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
     # nothing can certify, so no face is kept there
     if bound <= 1.0 / n + ENERGY_TOL or len(active) == len(vectors):

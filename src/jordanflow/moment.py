@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from math import gcd, lcm
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from .algebra import StructureTensor, derivation_algebra, _moment_table, _soliton_table, _unitary_act_table
 from .snap import format_fraction
-from .weights import SUPPORT_TOL, exact_beta, min_norm_point, support_weights
+from .weights import (MASK_MEMO_SIZE, SUPPORT_TOL, exact_min_norm_point, min_norm_point, support_mask,
+                      _active_set, _certify_beta, _mask_weights)
 
 SOLITON_TOL = 1e-8
 
@@ -196,6 +198,10 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     ||beta||^2.  No denominator is capped.  Raises ValueError when mu fails
     the soliton criterion at tol and RationalSnapError when no exact beta is
     certified.
+    The exact beta, or the failure of its KKT check, depends on the support
+    mask alone, so it is kept per mask for the whole process (_mask_beta);
+    every call still rotates mu into its own eigenframe, cuts its own mask
+    and certifies the beta against its own spectrum.
     """
     return _soliton_type(mu, soliton_check(mu, tol), tol)
 
@@ -207,9 +213,21 @@ def _soliton_type(mu: StructureTensor, report: MomentReport, tol: float) -> Soli
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"
         )
     evals, vecs = np.linalg.eigh(report.m)
-    rotated = StructureTensor(_unitary_act_table(mu.table / mu.norm, vecs.conj().T))  # m = diag(evals)
-    vectors = [w.diagonal for w in support_weights(rotated, max(SUPPORT_TOL, tol))]
-    return SolitonType(tuple(sorted(exact_beta(vectors, min_norm_point(vectors), evals))))
+    rotated = _unitary_act_table(mu.table / mu.norm, vecs.conj().T)  # m = diag(evals)
+    beta = _mask_beta(support_mask(rotated, max(SUPPORT_TOL, tol)).tobytes(), mu.dim)
+    return SolitonType(tuple(sorted(_certify_beta(beta, evals))))
+
+
+@lru_cache(maxsize=MASK_MEMO_SIZE)
+def _mask_beta(key: bytes, n: int) -> tuple[Fraction, ...] | None:
+    """Exact min-norm point of the weights on the (n, n, n) support mask whose bytes are key.
+
+    None when Wolfe's active set fails the exact KKT check (Kirwan-Ness:
+    beta is the min-norm point of the support weights, a function of the
+    mask alone).
+    """
+    vectors = [w.diagonal for w in _mask_weights(np.frombuffer(key, dtype=bool).reshape(n, n, n))]
+    return exact_min_norm_point(vectors, _active_set(min_norm_point(vectors)))
 
 
 def sl_residual(mu: StructureTensor) -> float:

@@ -35,6 +35,10 @@ SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the la
 SNAP_DISTANCE = 1e-4
 IMPROVE_TOL = 1e-14   # Wolfe stops once no vertex improves ||x||^2 by more than this
 MAX_MAJOR = 1000      # Wolfe's major-cycle budget
+# support masks whose Wolfe results are kept for the whole process, by the
+# flow's bound and by the soliton labels; a run meets a few dozen (full
+# supports, catalog supports)
+MASK_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,16 @@ class WeightVector:
 
 def support_weights(mu: StructureTensor, tol: float = SUPPORT_TOL) -> list[WeightVector]:
     """Distinct weight vectors of the coefficients with |mu_ij^k| > tol * max|coeff|."""
-    mags = np.abs(mu.table)
+    return _mask_weights(support_mask(mu.table, tol))
+
+
+def support_mask(table: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
+    """The coefficients of an (n, n, n) table with |coeff| > tol * max|coeff|."""
+    mags = np.abs(table)
     mx = float(np.max(mags))
     if mx == 0.0:
         raise ValueError("the zero tensor has empty support")
-    return _mask_weights(mags > tol * mx)
+    return mags > tol * mx
 
 
 def _mask_weights(support: np.ndarray) -> list[WeightVector]:
@@ -268,7 +277,20 @@ def exact_beta(vectors, result: MinNormPoint, floats) -> tuple[Fraction, ...]:
     The exact point must pass exact_min_norm_point's checks and lie within
     SNAP_DISTANCE of floats in every coordinate; RationalSnapError otherwise.
     """
-    beta = exact_min_norm_point(vectors, [int(i) for i in np.flatnonzero(result.coefficients)])
+    return _certify_beta(exact_min_norm_point(vectors, _active_set(result)), floats)
+
+
+def _active_set(result: MinNormPoint) -> list[int]:
+    """Indices of the vectors that carry positive weight in Wolfe's result."""
+    return [int(i) for i in np.flatnonzero(result.coefficients)]
+
+
+def _certify_beta(beta: tuple[Fraction, ...] | None, floats) -> tuple[Fraction, ...]:
+    """beta, exact_min_norm_point's answer, once it lies within SNAP_DISTANCE of floats.
+
+    Raises RationalSnapError when beta is None (the exact KKT check failed)
+    or lies farther from floats in some coordinate.
+    """
     if beta is None:
         raise RationalSnapError("Wolfe's active set fails the exact KKT check")
     distance = max(abs(float(b) - float(x)) for b, x in zip(beta, floats))

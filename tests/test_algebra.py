@@ -8,6 +8,7 @@ from conftest import brute_jordan_defect, eig_expm
 from jordanflow.algebra import (
     MAX_DOCUMENT_DIM,
     StructureTensor,
+    Subspace,
     act,
     adjoin_unit,
     annihilator,
@@ -331,6 +332,29 @@ def test_tensor_is_immutable():
     mu = heisenberg(2)
     with pytest.raises(ValueError):
         mu.table[0, 0, 0] = 1.0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(k=st.integers(min_value=1, max_value=5), extra=st.integers(min_value=0, max_value=3),
+       scale=st.sampled_from([0.0, 1e-12, 3e-11, 1e-10, 3e-10, 1e-6, 4e-6, 1e-5, 3e-5]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_subspace_accepts_what_allclose_accepts(k, extra, scale, seed):
+    """The orthonormality check keeps np.allclose(G, I, atol=1e-10)'s acceptance set."""
+    rng = np.random.default_rng(seed)
+    basis = np.eye(k, k + extra, dtype=complex) + scale * rng.normal(size=(k, k + extra))
+    expected = np.allclose(basis @ basis.conj().T, np.eye(k), atol=1e-10)
+    try:
+        Subspace(k + extra, basis)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+
+
+def test_norm_sq_is_read_once():
+    mu = random_symmetric_tensor(np.random.default_rng(3), 4)
+    assert mu.norm_sq == float(np.sum(np.abs(mu.table) ** 2))
+    assert mu.norm_sq is mu.norm_sq
 
 
 def test_json_round_trip_is_bit_identical():

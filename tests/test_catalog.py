@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jordanflow import catalog
+from jordanflow import catalog, moment
 from jordanflow.algebra import (
     act,
     direct_product,
@@ -169,6 +169,21 @@ def test_reproduce_flags_mismatches():
     assert names_seen == ["A_2_1", "A_2_2", "A_2_3", "A_2_4", "A_2_5"]
     for row in report.rows:
         assert row.ok
+
+
+def test_reproduce_checks_a_distinguished_row_once(monkeypatch):
+    # the type is read off the report the row already made
+    calls = []
+
+    def counting(mu, *args, **kwargs):
+        calls.append(mu.dim)
+        return soliton_check(mu, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "soliton_check", counting)
+    monkeypatch.setattr(moment, "soliton_check", counting)
+    row = catalog._reproduce_row("A_3_7")
+    assert row.ok and row.type_str == "(0<1<2;1,1,1)"
+    assert calls == [3]
 
 
 def test_reproduce_flows_the_non_distinguished_entry_once(monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanflow import cli, moment, stratify
+from jordanflow import algebra, cli, moment, stratify
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 from jordanflow.stratify import stratum_of
@@ -52,6 +52,24 @@ def test_moment_checks_a_soliton_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["soliton_type"] is not None
     assert calls == [3]
+
+
+def test_invariants_forms_the_power_chain_once(capsys, monkeypatch):
+    # nilpotency is read off the chain the command already formed
+    calls = []
+    chain = algebra.power_dims
+
+    def counting(mu):
+        calls.append(mu.dim)
+        return chain(mu)
+
+    monkeypatch.setattr(cli, "power_dims", counting)
+    monkeypatch.setattr(algebra, "power_dims", counting)
+    code, out, _ = run_cli(capsys, "invariants", "--catalog", "A_4_20", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["power_dims"] == [3] and payload["is_nilpotent"] is False
+    assert calls == [4]
 
 
 def test_stratify_json_golden(capsys):

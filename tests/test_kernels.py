@@ -19,6 +19,8 @@ from jordanflow.algebra import (
     StructureTensor,
     act,
     associator_defect,
+    centroid,
+    derivation_algebra,
     jordan_defect,
     power_dims,
     soliton_product,
@@ -26,6 +28,7 @@ from jordanflow.algebra import (
     _inf_act_table,
     _moment_table,
     _operator_matrix,
+    _operator_split,
     _rank_split,
     _soliton_table,
     _unitary_act_table,
@@ -417,6 +420,30 @@ def test_rank_split_matches_full_svd_on_soliton_products(name1, name2, seed, ter
     mu = unitary_soliton_product(name1, name2, seed)
     assert_same_split(_operator_matrix(mu.table, terms), floor=mu.norm)
     assert_same_split(mu.table.reshape(mu.dim**2, mu.dim), floor=mu.norm)
+
+
+@KERNEL_CASES
+@given(
+    mu=st.one_of(
+        st.builds(unitary_soliton_product, catalog_names, catalog_names, seeds),
+        st.builds(lambda n, seed: random_symmetric_tensor(np.random.default_rng(seed), n), dims, seeds),
+    ),
+    terms=st.sampled_from([2, 3]),
+)
+def test_operator_nullspaces_through_r_match_the_full_svd(mu, terms):
+    """derivation_algebra (3 terms) and centroid (2 terms) split the R factor; the reference splits
+    the full operator matrix."""
+    n = mu.dim
+    ref_rank, _, ref_null, ref_gap = ref_rank_split(_operator_matrix(mu.table, terms), floor=mu.norm)
+    if terms == 3:
+        dim, basis, gap = derivation_algebra(mu)
+        assert dim == basis.shape[0]
+    else:
+        basis, gap = centroid(mu), _operator_split(mu.table, 2, mu.norm)[2]
+    assert n * n - basis.shape[0] == ref_rank
+    assert gap == pytest.approx(ref_gap, rel=1e-9)
+    null = basis.reshape(-1, n * n)
+    assert norm(projector(null) - projector(ref_null)) <= 1e-10
 
 
 @KERNEL_CASES

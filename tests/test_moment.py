@@ -19,6 +19,7 @@ from jordanflow.moment import (
     soliton_check,
     SolitonType,
     soliton_type,
+    _soliton_type,
 )
 from jordanflow.sampling import (
     random_group_element,
@@ -26,7 +27,8 @@ from jordanflow.sampling import (
     random_symmetric_tensor,
     random_unitary,
 )
-from jordanflow.weights import support_weights
+from jordanflow.snap import RationalSnapError
+from jordanflow.weights import MinNormPoint, support_weights
 
 
 def test_moment_matrix_examples():
@@ -227,6 +229,71 @@ def test_soliton_type_of_unitary_images_of_a_4_68(rng):
     for _ in range(20):
         t = soliton_type(act(random_unitary(rng, 4), builtin("A_4_68").tensor))
         assert t.beta_diagonal() == [Fraction(-1), Fraction(-1), Fraction(1, 2), Fraction(1, 2)]
+
+
+@pytest.fixture
+def beta_memo():
+    """An empty process-wide beta memo, emptied again afterwards so no stubbed result outlives the test."""
+    moment._mask_beta.cache_clear()
+    yield moment._mask_beta
+    moment._mask_beta.cache_clear()
+
+
+def counting_wolfe(monkeypatch, calls, stub=None):
+    solve = moment.min_norm_point
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return (stub or solve)(vectors)
+
+    monkeypatch.setattr(moment, "min_norm_point", counting)
+
+
+def test_a_second_image_with_the_same_mask_runs_no_wolfe(rng, monkeypatch, beta_memo):
+    # beta is Wolfe's min-norm point of the support weights, a function of the support mask alone
+    mu = builtin("A_3_7").tensor
+    first = soliton_type(act(random_unitary(rng, 3), mu))
+    calls = []
+    counting_wolfe(monkeypatch, calls)
+    assert soliton_type(act(random_unitary(rng, 3), mu)) == first
+    assert calls == []
+    assert beta_memo.cache_info().currsize == 1
+
+
+def test_a_memo_hit_is_certified_against_its_own_spectrum(monkeypatch, beta_memo):
+    # a torus image keeps the mask, so beta comes from the memo, but its spectrum moved by ~1.5e-3
+    mu = builtin("A_3_4").tensor
+    assert str(soliton_type(mu)) == "(0<1;2,1)"
+    nu = act(np.diag(np.exp([0.0, 1e-3, 2e-3])), mu)
+    report = soliton_check(nu, tol=1e-2)
+    assert report.is_soliton
+    calls = []
+    counting_wolfe(monkeypatch, calls)
+    with pytest.raises(RationalSnapError, match="from the float spectrum, more than 0.0001"):
+        _soliton_type(nu, report, 1e-2)
+    assert calls == []
+
+
+def test_a_cached_kkt_failure_raises_afresh_each_time(monkeypatch, beta_memo):
+    # Wolfe stubbed to stop on the longest weight, which is not the min-norm point
+    def longest_vertex(vectors):
+        pts = np.asarray(vectors, dtype=float)
+        coeffs = np.zeros(len(pts))
+        best = int(np.argmax(np.sum(pts**2, axis=1)))
+        coeffs[best] = 1.0
+        return MinNormPoint(pts[best], coeffs, 0.0, 1)
+
+    calls = []
+    counting_wolfe(monkeypatch, calls, longest_vertex)
+    mu = builtin("A_3_7").tensor
+    errors = []
+    for _ in range(2):
+        with pytest.raises(RationalSnapError) as info:
+            soliton_type(mu)
+        errors.append(info.value)
+    assert [str(e) for e in errors] == ["Wolfe's active set fails the exact KKT check"] * 2
+    assert errors[0] is not errors[1]
+    assert len(calls) == 1
 
 
 DISTINGUISHED = {d: [name for name in names(d) if builtin(name).distinguished] for d in (1, 2, 3, 4)}
