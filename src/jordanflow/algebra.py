@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -60,7 +60,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class StructureTensor:
-    """Immutable commutative multiplication mu on C^n, mu(e_i, e_j) = sum_k table[i,j,k] e_k."""
+    """Immutable commutative multiplication mu on C^n, mu(e_i, e_j) = sum_k table[i,j,k] e_k.
+
+    Each tolerance-free kernel runs at most once per tensor and keeps its
+    result on it (_stored): the soliton data (M, c, E and ||D.mu||), the
+    derivation algebra, the centroid, the radical, the power chain, the
+    associator and Jordan defects and the least-squares unit with its
+    residual.  The table is a private copy made read-only here, so a stored
+    result cannot go stale; stored arrays are read-only too, and the public
+    functions hand out writable copies.  Functions that take a tolerance
+    apply it to the stored value on every call.
+    """
 
     table: np.ndarray
 
@@ -162,6 +172,29 @@ class Subspace:
         return float(np.linalg.norm(resid)) <= tol * max(1.0, float(np.linalg.norm(v)))
 
 
+def _stored(kernel):
+    """Keep kernel(mu) in mu.__dict__, the slot where cached_property keeps norm_sq.
+
+    The result lives and dies with its tensor; an exception is not kept.
+    """
+    key = kernel.__name__
+
+    @wraps(kernel)
+    def read(mu: StructureTensor):
+        try:
+            return mu.__dict__[key]
+        except KeyError:
+            value = mu.__dict__[key] = kernel(mu)
+            return value
+
+    return read
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _check_vector(mu: StructureTensor, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (mu.dim,):
@@ -209,6 +242,7 @@ def _worst_row(table: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(table) ** 2, axis=-1))))
 
 
+@_stored
 def jordan_defect(mu: StructureTensor) -> float:
     """Worst violation of (ab,c,d) + (bd,c,a) + (da,c,b) = 0 over basis quadruples.
 
@@ -232,6 +266,7 @@ def is_jordan(mu: StructureTensor, tol: float = 1e-9) -> bool:
     return jordan_defect(mu) <= tol
 
 
+@_stored
 def associator_defect(mu: StructureTensor) -> float:
     """Worst associator norm ||(e_i e_j) e_k - e_i (e_j e_k)|| over basis triples."""
     return _worst_row(_associator_table(mu.table))
@@ -294,10 +329,11 @@ def trace_form(mu: StructureTensor) -> np.ndarray:
     return np.einsum("ijm,m->ij", t, tr)
 
 
+@_stored
 def radical(mu: StructureTensor) -> Subspace:
-    """Kernel of the trace form (Albert's criterion: the maximal nilpotent ideal)."""
+    """Kernel of the trace form (Albert's criterion: the maximal nilpotent ideal); the basis is read-only."""
     rank, vh, gap = _rank_split(trace_form(mu), floor=mu.norm_sq)
-    return Subspace(mu.dim, vh[rank:].conj(), gap)
+    return Subspace(mu.dim, _read_only(vh[rank:].conj()), gap)
 
 
 def is_semisimple(mu: StructureTensor) -> bool:
@@ -323,9 +359,15 @@ def derivation_algebra(mu: StructureTensor) -> tuple[int, np.ndarray, float]:
     The split is read off the R factor of the (n^3, n^2) operator matrix
     (_operator_split), with the same s and vh as the SVD of the full matrix.
     """
+    dim, basis, gap = _derivations(mu)
+    return dim, basis.copy(), gap
+
+
+@_stored
+def _derivations(mu: StructureTensor) -> tuple[int, np.ndarray, float]:
     n = mu.dim
     rank, vh, gap = _operator_split(mu.table, 3, mu.norm)
-    return n * n - rank, vh[rank:].conj().reshape(-1, n, n), gap
+    return n * n - rank, _read_only(vh[rank:].conj().reshape(-1, n, n)), gap
 
 
 def annihilator(mu: StructureTensor) -> Subspace:
@@ -342,6 +384,11 @@ def power_dims(mu: StructureTensor) -> list[int]:
     mu is commutative, so mu(A^i, A^j) and mu(A^j, A^i) span the same
     space and only the blocks with i <= j are formed, each as two matmuls.
     """
+    return list(_power_chain(mu))
+
+
+@_stored
+def _power_chain(mu: StructureTensor) -> tuple[int, ...]:
     n = mu.dim
     rows = mu.table.reshape(n, n * n)
     spaces = [np.eye(n, dtype=complex)]
@@ -360,13 +407,12 @@ def power_dims(mu: StructureTensor) -> list[int]:
         if rank == 0:
             break
         spaces.append(vh[:rank])
-    return dims
+    return tuple(dims)
 
 
 def product_rank(mu: StructureTensor) -> int:
-    """dim mu(C^n, C^n) = dim A^2."""
-    rows = mu.table.reshape(mu.dim * mu.dim, mu.dim)
-    return _rank_split(rows, floor=mu.norm)[0]
+    """dim mu(C^n, C^n) = dim A^2, the first level of the power chain (its block I . table[i] is the table)."""
+    return power_dims(mu)[0]
 
 
 def is_nilpotent(mu: StructureTensor) -> bool:
@@ -429,6 +475,13 @@ def _soliton_table(t: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]
     return big_m, c, m_sq / n2**2, _inf_act_table(big_m - c * np.eye(t.shape[0]), t)
 
 
+@_stored
+def _soliton_data(mu: StructureTensor) -> tuple[np.ndarray, float, float, float]:
+    """_soliton_table of mu with D.mu reduced to its norm: (M read-only, c, E, ||D.mu||)."""
+    big_m, c, e, d_mu = _soliton_table(mu.table)
+    return _read_only(big_m), c, e, float(np.linalg.norm(d_mu))
+
+
 def act(g: np.ndarray, mu: StructureTensor) -> StructureTensor:
     """Basis-change action (g.mu)(a, b) = g(mu(g^{-1}a, g^{-1}b))."""
     g = np.asarray(g, dtype=complex)
@@ -465,24 +518,28 @@ def soliton_product(mu: StructureTensor, nu: StructureTensor) -> StructureTensor
 
     When both factors are solitons the result is again a soliton.
     """
-    scale = math.sqrt(_soliton_table(mu.table)[1] / _soliton_table(nu.table)[1])
+    scale = math.sqrt(_soliton_data(mu)[1] / _soliton_data(nu)[1])
     return direct_product(mu, nu.scaled(scale))
 
 
 def unit_element(mu: StructureTensor, tol: float = 1e-9) -> np.ndarray | None:
     """Solve L_u = I by least squares; returns u, or None when the residual exceeds tol."""
-    n = mu.dim
-    if n == 0:
-        return None
-    mat = np.transpose(mu.table, (2, 1, 0)).reshape(n * n, n)
-    target = np.eye(n, dtype=complex).ravel()
-    u, *_ = np.linalg.lstsq(mat, target, rcond=None)
-    resid = float(np.linalg.norm(mat @ u - target))
-    return u if resid <= tol * math.sqrt(n) else None
+    u, resid = _unit_solve(mu)
+    return u.copy() if resid <= tol * math.sqrt(mu.dim) else None
 
 
 def has_unit(mu: StructureTensor, tol: float = 1e-9) -> bool:
-    return unit_element(mu, tol) is not None
+    return _unit_solve(mu)[1] <= tol * math.sqrt(mu.dim)
+
+
+@_stored
+def _unit_solve(mu: StructureTensor) -> tuple[np.ndarray, float]:
+    """Least-squares u of L_u = I (read-only) and its residual ||L_u - I||."""
+    n = mu.dim
+    mat = np.transpose(mu.table, (2, 1, 0)).reshape(n * n, n)
+    target = np.eye(n, dtype=complex).ravel()
+    u, *_ = np.linalg.lstsq(mat, target, rcond=None)
+    return _read_only(u), float(np.linalg.norm(mat @ u - target))
 
 
 def adjoin_unit(mu: StructureTensor) -> StructureTensor:
@@ -506,7 +563,7 @@ def soliton_unitalize(mu: StructureTensor) -> StructureTensor:
     diag(M_{sqrt(c) mu}, -(2n+1)).
     """
     n = mu.dim
-    c = (2 * n + 1) / (-_soliton_table(mu.table)[1])
+    c = (2 * n + 1) / (-_soliton_data(mu)[1])
     scaled = mu.scaled(math.sqrt(c))
     result = adjoin_unit(scaled)
     block = _moment_table(result.table)
@@ -529,9 +586,14 @@ def centroid(mu: StructureTensor) -> np.ndarray:
     The nullspace of the two-term operator matrix, split through its R
     factor as in derivation_algebra.
     """
+    return _centroid_basis(mu).copy()
+
+
+@_stored
+def _centroid_basis(mu: StructureTensor) -> np.ndarray:
     n = mu.dim
     rank, vh, _ = _operator_split(mu.table, 2, mu.norm)
-    return vh[rank:].conj().reshape(-1, n, n)
+    return _read_only(vh[rank:].conj().reshape(-1, n, n))
 
 
 def _cluster_points(vals: np.ndarray, link_tol: float) -> list[np.ndarray]:
@@ -582,7 +644,7 @@ def is_decomposable(mu: StructureTensor) -> bool:
     n = mu.dim
     if n <= 1:
         return False
-    cent = centroid(mu)
+    cent = _centroid_basis(mu)
     if cent.shape[0] <= 1:
         return False
     # Roundoff splits an eigenvalue with a k x k Jordan block into a ring of
@@ -620,7 +682,7 @@ def is_simple(mu: StructureTensor) -> bool:
     """Semisimple with a one-dimensional centroid (a single simple factor)."""
     if product_rank(mu) == 0:
         return False
-    return is_semisimple(mu) and centroid(mu).shape[0] == 1
+    return is_semisimple(mu) and _centroid_basis(mu).shape[0] == 1
 
 
 # ---------------------------------------------------------------------------

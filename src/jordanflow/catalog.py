@@ -37,7 +37,7 @@ from .algebra import (
     _soliton_table,
 )
 from .flow import FlowTrace, run_flow
-from .moment import SOLITON_TOL, SolitonType, _soliton_type, soliton_check
+from .moment import SolitonType, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .stratify import beta_mu
 
@@ -653,7 +653,7 @@ def _reproduce_row(name: str) -> ReproduceRow:
 
     soliton_ok = report.is_soliton
     try:
-        stype = _soliton_type(mu, report, SOLITON_TOL)
+        stype = soliton_type(mu)
         type_str = str(stype)
         beta_label = beta_mu(mu)
         beta_ok = stype.beta == entry.expected_beta and beta_label.beta == entry.expected_beta

@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
-from .moment import SolitonType, _soliton_type, derivation_pairing, sl_residual, soliton_check
+from .moment import SolitonType, derivation_pairing, sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
 from .stratify import _exact_label, min_norm_point, stratum_of, support_weights
 
@@ -147,7 +147,7 @@ def cmd_moment(args) -> int:
     payload["derivation_pairing_max"] = derivation_pairing(mu)
     if report.is_soliton:
         try:
-            stype = _soliton_type(mu, report, args.tol)
+            stype = soliton_type(mu, args.tol)
             lines.append(f"type             {stype}")
             lines.append(f"beta             {_beta(stype)[0]}")
             payload["soliton_type"] = stype.to_json_dict()

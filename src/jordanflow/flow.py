@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
-from .moment import MomentReport, SolitonType, _soliton_type, energy_gradient, soliton_check
+from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import (MASK_MEMO_SIZE, _active_set, _mask_weights, degeneration_witness, exact_min_norm_point,
                       min_norm_point, support_mask)
@@ -86,8 +86,7 @@ class FlowTrace:
         if not self.converged:
             return None
         try:
-            return _soliton_type(self.terminal, self.terminal_report,
-                                 max(10 * self.terminal_report.soliton_residual, 1e-12))
+            return soliton_type(self.terminal, max(10 * self.terminal_report.soliton_residual, 1e-12))
         except (RationalSnapError, ValueError):
             return None
 

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .algebra import StructureTensor, derivation_algebra, _moment_table, _soliton_table, _unitary_act_table
+from .algebra import StructureTensor, derivation_algebra, _soliton_data, _soliton_table, _unitary_act_table
 from .snap import format_fraction
 from .weights import (MASK_MEMO_SIZE, SUPPORT_TOL, exact_min_norm_point, min_norm_point, support_mask,
                       _active_set, _certify_beta, _mask_weights)
@@ -42,27 +42,19 @@ __all__ = [
 ]
 
 
-def _require_nonzero(mu: StructureTensor) -> float:
-    n2 = mu.norm_sq
-    if n2 == 0.0:
-        raise ValueError("moment data is undefined for the zero tensor")
-    return n2
-
-
 def moment_matrix(mu: StructureTensor) -> np.ndarray:
     """Hermitian moment matrix M with Tr M = -||mu||^2."""
-    _require_nonzero(mu)
-    return _moment_table(mu.table)
+    return _soliton_data(mu)[0].copy()
 
 
 def moment_map(mu: StructureTensor) -> np.ndarray:
     """Scale-invariant moment map value m = M / ||mu||^2."""
-    return moment_matrix(mu) / _require_nonzero(mu)
+    return _soliton_data(mu)[0] / mu.norm_sq
 
 
 def energy(mu: StructureTensor) -> float:
     """E = ||m||^2 = ||M||^2 / ||mu||^4; scale- and unitary-invariant, 1/n <= E <= 5 on Jordan tensors."""
-    return _soliton_table(mu.table)[2]
+    return _soliton_data(mu)[2]
 
 
 def energy_gradient(mu: StructureTensor) -> StructureTensor:
@@ -109,12 +101,13 @@ def soliton_check(mu: StructureTensor, tol: float = SOLITON_TOL) -> MomentReport
 
     M, c and D . mu come from one table kernel, which also gives the
     energy and the gradient: E = -c / ||mu||^2 and grad E = 4 D . mu / ||mu||^4,
-    so mu is critical for E exactly when D is a derivation.
+    so mu is critical for E exactly when D is a derivation.  The kernel runs
+    once per tensor (algebra._soliton_data); each call applies its own tol.
     """
-    big_m, c, e, d_mu = _soliton_table(mu.table)
+    big_m, c, e, d_norm = _soliton_data(mu)
     n2 = mu.norm_sq
-    residual = float(np.linalg.norm(d_mu)) / n2**1.5
-    return MomentReport(M=big_m, m=big_m / n2, energy=e, c=c, soliton_residual=residual,
+    residual = d_norm / n2**1.5
+    return MomentReport(M=big_m.copy(), m=big_m / n2, energy=e, c=c, soliton_residual=residual,
                         is_soliton=residual <= tol)
 
 
@@ -201,14 +194,12 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     The exact beta, or the failure of its KKT check, depends on the support
     mask alone, so it is kept per mask for the whole process (_mask_beta);
     every call still rotates mu into its own eigenframe, cuts its own mask
-    and certifies the beta against its own spectrum.
+    and certifies the beta against its own spectrum.  The soliton check
+    reads the kernel stored on mu, so a caller that has already checked mu
+    pays for no second kernel.
     """
-    return _soliton_type(mu, soliton_check(mu, tol), tol)
-
-
-def _soliton_type(mu: StructureTensor, report: MomentReport, tol: float) -> SolitonType:
-    """soliton_type of mu read from report, mu's soliton_check at any tolerance, gated at tol."""
-    if not report.soliton_residual <= tol:
+    report = soliton_check(mu, tol)
+    if not report.is_soliton:
         raise ValueError(
             f"not a soliton at tolerance {tol:g} (residual {report.soliton_residual:.3e})"
         )

@@ -1,10 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jordanflow import catalog, moment
+from jordanflow import algebra, catalog
 from jordanflow.algebra import (
+    StructureTensor,
     act,
     direct_product,
     has_unit,
@@ -172,18 +174,21 @@ def test_reproduce_flags_mismatches():
 
 
 def test_reproduce_checks_a_distinguished_row_once(monkeypatch):
-    # the type is read off the report the row already made
-    calls = []
+    # the type reads the soliton kernel that the row's own check stored on a fresh tensor
+    entry = builtin("A_3_7")
+    fresh = dataclasses.replace(entry, tensor=StructureTensor(entry.tensor.table))
+    monkeypatch.setattr(catalog, "builtin", lambda name: fresh)
+    runs = []
+    kernel = algebra._soliton_table
 
-    def counting(mu, *args, **kwargs):
-        calls.append(mu.dim)
-        return soliton_check(mu, *args, **kwargs)
+    def counting(t):
+        runs.append(t.shape[0])
+        return kernel(t)
 
-    monkeypatch.setattr(catalog, "soliton_check", counting)
-    monkeypatch.setattr(moment, "soliton_check", counting)
+    monkeypatch.setattr(algebra, "_soliton_table", counting)
     row = catalog._reproduce_row("A_3_7")
     assert row.ok and row.type_str == "(0<1<2;1,1,1)"
-    assert calls == [3]
+    assert runs == [3]
 
 
 def test_reproduce_flows_the_non_distinguished_entry_once(monkeypatch):

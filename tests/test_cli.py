@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanflow import algebra, cli, moment, stratify
+from jordanflow import algebra, cli, stratify
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 from jordanflow.stratify import stratum_of
@@ -37,21 +37,22 @@ def test_moment_json_golden(capsys):
     assert payload["soliton_type"]["beta"] == ["-2", "1"]
 
 
-def test_moment_checks_a_soliton_once(capsys, monkeypatch):
-    # the type is read off the report the command already made
-    calls = []
-    check = moment.soliton_check
+def test_moment_checks_a_soliton_once(tmp_path, capsys, monkeypatch):
+    # the type, M and the sl residual read the soliton kernel stored on the loaded tensor
+    path = tmp_path / "a_3_7.json"
+    path.write_text(dump_tensor(builtin("A_3_7").tensor))
+    runs = []
+    kernel = algebra._soliton_table
 
-    def counting(mu, *args, **kwargs):
-        calls.append(mu.dim)
-        return check(mu, *args, **kwargs)
+    def counting(t):
+        runs.append(t.shape[0])
+        return kernel(t)
 
-    monkeypatch.setattr(cli, "soliton_check", counting)
-    monkeypatch.setattr(moment, "soliton_check", counting)
-    code, out, _ = run_cli(capsys, "moment", "--catalog", "A_3_7", "--json")
+    monkeypatch.setattr(algebra, "_soliton_table", counting)
+    code, out, _ = run_cli(capsys, "moment", str(path), "--json")
     assert code == 0
     assert json.loads(out)["soliton_type"] is not None
-    assert calls == [3]
+    assert runs == [3]
 
 
 def test_invariants_forms_the_power_chain_once(capsys, monkeypatch):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from jordanflow import algebra
 from jordanflow.algebra import (
     RANK_TOL,
     StructureTensor,
@@ -21,9 +22,19 @@ from jordanflow.algebra import (
     associator_defect,
     centroid,
     derivation_algebra,
+    has_unit,
+    is_associative,
+    is_decomposable,
+    is_jordan,
+    is_nilpotent,
+    is_semisimple,
+    is_simple,
     jordan_defect,
     power_dims,
+    product_rank,
+    radical,
     soliton_product,
+    unit_element,
     _act_table,
     _inf_act_table,
     _moment_table,
@@ -36,7 +47,7 @@ from jordanflow.algebra import (
 from jordanflow.catalog import builtin, names
 from jordanflow.flow import (ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow, _eigenframe,
                              _energy_moment)
-from jordanflow.moment import energy, energy_gradient, moment_matrix, soliton_check
+from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
 REL = 1e-12
@@ -465,3 +476,134 @@ def test_power_dims_matches_looped_chain_on_soliton_products(name1, name2, seed)
     mu = unitary_soliton_product(name1, name2, seed)
     assert power_dims(mu) == ref_power_dims(mu)
 
+
+# --- kernels stored on the tensor ---------------------------------------------
+
+
+def fresh_soliton(name, seed):
+    """A unitary image of a catalog soliton: a new tensor with nothing stored on it."""
+    mu = builtin(name).tensor
+    return act(random_unitary(np.random.default_rng(seed), mu.dim), mu)
+
+
+def stored_results(mu):
+    """Every public result read from a stored kernel, as bytes or plain values."""
+    dim_der, der_basis, der_gap = derivation_algebra(mu)
+    rad = radical(mu)
+    report = soliton_check(mu)
+    u = unit_element(mu)
+    return [
+        dim_der, der_basis.tobytes(), der_gap, centroid(mu).tobytes(),
+        rad.dim, rad.basis.tobytes(), rad.gap_ratio, is_semisimple(mu),
+        power_dims(mu), product_rank(mu), is_nilpotent(mu), is_simple(mu), is_decomposable(mu),
+        associator_defect(mu), is_associative(mu), jordan_defect(mu), is_jordan(mu),
+        None if u is None else u.tobytes(), has_unit(mu),
+        report.M.tobytes(), report.m.tobytes(), report.energy, report.c, report.soliton_residual,
+        report.is_soliton, energy(mu), moment_matrix(mu).tobytes(), moment_map(mu).tobytes(),
+    ]
+
+
+@pytest.mark.parametrize("name", ["A_2_3", "A_3_1", "A_4_20", "A_4_68"])
+def test_a_second_call_runs_no_kernel(monkeypatch, name):
+    mu = fresh_soliton(name, 3)
+    first = stored_results(mu)
+    beta = soliton_type(mu).beta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran twice on one tensor")
+
+    monkeypatch.setattr(algebra, "_rank_split", refuse)
+    monkeypatch.setattr(algebra, "_soliton_table", refuse)
+    monkeypatch.setattr(algebra, "_associator_table", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert stored_results(mu) == first
+    assert soliton_type(mu).beta == beta
+
+
+def test_returned_arrays_are_writable_copies():
+    mu = fresh_soliton("A_3_7", 5)      # unital, with derivations and a 3-dim centroid
+    arrays = {
+        "derivations": lambda: derivation_algebra(mu)[1],
+        "centroid": lambda: centroid(mu),
+        "unit": lambda: unit_element(mu),
+        "M": lambda: moment_matrix(mu),
+        "report M": lambda: soliton_check(mu).M,
+    }
+    for key, read in arrays.items():
+        before = read().copy()
+        assert before.size, key
+        read()[...] = 7.0
+        assert np.array_equal(read(), before), key
+
+
+def test_stored_arrays_are_read_only():
+    mu = fresh_soliton("A_4_20", 7)
+    stored = [
+        algebra._derivations(mu)[1],
+        algebra._centroid_basis(mu),
+        algebra._unit_solve(mu)[0],
+        algebra._soliton_data(mu)[0],
+        radical(mu).basis,
+    ]
+    for a in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_an_error_is_not_stored():
+    mu = StructureTensor.zero(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="zero tensor"):
+            soliton_check(mu)
+    assert "_soliton_data" not in vars(mu)
+
+
+@KERNEL_CASES
+@given(
+    mu=st.one_of(
+        st.builds(unitary_soliton_product, catalog_names, catalog_names, seeds),
+        st.builds(lambda n, seed: random_symmetric_tensor(np.random.default_rng(seed), n), dims, seeds),
+    ),
+)
+def test_stored_results_match_a_fresh_tensor_bit_for_bit(mu):
+    first = stored_results(mu)
+    assert stored_results(mu) == first
+    assert stored_results(StructureTensor(mu.table)) == first
+
+
+def test_one_tensor_two_tolerances_two_verdicts():
+    """The stored defects and residuals are tolerance-free; each call applies its own tol."""
+    rng = np.random.default_rng(11)
+    mu = builtin("A_3_1").tensor      # associative, unital and a soliton
+    mu = StructureTensor(mu.table + 1e-7 * random_symmetric_tensor(rng, 3).table)
+    n = mu.dim
+    defect = associator_defect(mu)
+    resid_unit = algebra._unit_solve(mu)[1]
+    resid = soliton_check(mu).soliton_residual
+    assert min(defect, resid_unit, resid) > 0.0
+    for _ in range(2):
+        assert is_associative(mu, tol=2 * defect) and not is_associative(mu, tol=defect / 2)
+        unit_tol = resid_unit / math.sqrt(n)
+        assert has_unit(mu, tol=2 * unit_tol) and not has_unit(mu, tol=unit_tol / 2)
+        assert unit_element(mu, tol=2 * unit_tol) is not None and unit_element(mu, tol=unit_tol / 2) is None
+        assert soliton_check(mu, tol=2 * resid).is_soliton and not soliton_check(mu, tol=resid / 2).is_soliton
+        with pytest.raises(ValueError, match="not a soliton"):
+            soliton_type(mu, tol=resid / 2)
+
+
+def test_product_rank_is_the_rank_of_the_flattened_table_on_the_catalog():
+    for name in names():
+        mu = builtin(name).tensor
+        assert product_rank(mu) == _rank_split(mu.table.reshape(mu.dim**2, mu.dim), floor=mu.norm)[0], name
+
+
+@KERNEL_CASES
+@given(
+    mu=st.one_of(
+        st.builds(unitary_soliton_product, catalog_names, catalog_names, seeds),
+        st.builds(lambda n, seed: random_symmetric_tensor(np.random.default_rng(seed), n), dims, seeds),
+    ),
+)
+def test_product_rank_is_the_rank_of_the_flattened_table(mu):
+    n = mu.dim
+    assert product_rank(mu) == _rank_split(mu.table.reshape(n * n, n), floor=mu.norm)[0]

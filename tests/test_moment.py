@@ -19,7 +19,6 @@ from jordanflow.moment import (
     soliton_check,
     SolitonType,
     soliton_type,
-    _soliton_type,
 )
 from jordanflow.sampling import (
     random_group_element,
@@ -270,7 +269,7 @@ def test_a_memo_hit_is_certified_against_its_own_spectrum(monkeypatch, beta_memo
     calls = []
     counting_wolfe(monkeypatch, calls)
     with pytest.raises(RationalSnapError, match="from the float spectrum, more than 0.0001"):
-        _soliton_type(nu, report, 1e-2)
+        soliton_type(nu, 1e-2)
     assert calls == []
 
 
