@@ -49,11 +49,7 @@ from .moment import (
     soliton_type,
 )
 from .snap import RationalSnapError
-from .stratify import (
-    beta_mu,
-    min_norm_point,
-    stratum_of,
-    support_weights,
-)
+from .stratify import beta_mu, stratum_of
+from .weights import min_norm_point, support_weights
 
 __version__ = "0.1.0"

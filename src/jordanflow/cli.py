@@ -29,7 +29,8 @@ from .catalog import builtin, names, reproduce_tables
 from .flow import FlowOptions, run_flow
 from .moment import SolitonType, derivation_pairing, sl_residual, soliton_check, soliton_type
 from .snap import RationalSnapError, format_fraction
-from .stratify import _exact_label, min_norm_point, stratum_of, support_weights
+from .stratify import beta_mu, stratum_of
+from .weights import support_face, support_weights
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -186,20 +187,18 @@ def cmd_flow(args) -> int:
 
 def cmd_stratify(args) -> int:
     mu = _load_input(args)
-    weights = support_weights(mu)
-    vectors = [w.diagonal for w in weights]
-    result = min_norm_point(vectors)
-    text, beta = _beta(_exact_label(vectors, result))
+    text, beta = _beta(beta_mu(mu))
+    gap = support_face(mu.table).result.certificate_gap
     payload = {
         **beta,
-        "support": [list(t) for w in weights for t in w.triples],
-        "certificate_gap": result.certificate_gap,
+        "support": [list(t) for w in support_weights(mu) for t in w.triples],
+        "certificate_gap": gap,
     }
     lines = [
         f"beta_mu          {text}",
         f"||beta||^2       {payload['energy']}",
         f"support triples  {payload['support']}",
-        f"certificate gap  {_fmt(result.certificate_gap)}",
+        f"certificate gap  {_fmt(gap)}",
     ]
     if args.flow:
         opts = FlowOptions(max_steps=args.max_steps, grad_tol=args.tol)

@@ -19,8 +19,8 @@ one-parameter subgroup that is checked exactly.  A flow whose energy
 falls below its lower bound has left its orbit and is reported as such.
 
 The lower bound and Wolfe's face depend on the support mask alone, so they
-are kept per mask for the whole process, in an LRU cache of MASK_MEMO_SIZE
-masks.  Where m is already diagonal in ascending order the held frame is
+are read from weights.support_face, the process-wide memo that the labels
+share.  Where m is already diagonal in ascending order the held frame is
 kept as it is, which is what eigh would return there, bit for bit.
 """
 
@@ -30,15 +30,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
 from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
-from .weights import (MASK_MEMO_SIZE, _active_set, _mask_weights, degeneration_witness, exact_min_norm_point,
-                      min_norm_point, support_mask)
+from .weights import support_face
 
 ARMIJO = 1e-4
 STEP0 = 1e-2          # first trial step size
@@ -142,54 +141,6 @@ def _weight_sums(evals: np.ndarray) -> np.ndarray:
     return evals[:, None, None] + evals[None, :, None] - evals[None, None, :]
 
 
-@dataclass
-class _Face:
-    """Wolfe's active weights on one support mask: the coefficients they keep, and their witness."""
-
-    keep: np.ndarray              # coefficient mask of the active weights
-    vectors: list[tuple[int, ...]]
-    active: list[int]
-
-    @cached_property
-    def exponents(self) -> tuple[int, ...] | None:
-        """Integer a, checked exactly, that degenerates the support to keep; None when none exists."""
-        beta = exact_min_norm_point(self.vectors, self.active)
-        return None if beta is None else degeneration_witness(self.vectors, self.active, beta)
-
-
-def _lower_bound(rotated: np.ndarray) -> tuple[float, _Face | None]:
-    """||beta||^2 of the support weights of rotated, a table held in a frame that diagonalizes its m.
-
-    The frame is unitary, so rotated lies in the orbit of the caller's
-    tensor.  The support is cut at SUPPORT_TOL of the largest coefficient,
-    so the result bounds the stratum energy of rotated with its sub-cut
-    coefficients dropped.  Returns the bound and, for a bound above the
-    floor 1/n by more than ENERGY_TOL whose Wolfe active set is smaller than
-    the support, that active face, else None.  Both depend on the support
-    mask alone, and _mask_bound keeps them per mask for the whole process.
-    """
-    return _mask_bound(support_mask(rotated).tobytes(), rotated.shape[0])
-
-
-@lru_cache(maxsize=MASK_MEMO_SIZE)
-def _mask_bound(key: bytes, n: int) -> tuple[float, _Face | None]:
-    """_lower_bound's bound and face on the (n, n, n) support mask whose bytes are key."""
-    support = np.frombuffer(key, dtype=bool).reshape(n, n, n)
-    weights = _mask_weights(support)
-    vectors = [w.diagonal for w in weights]
-    result = min_norm_point(vectors)
-    bound = float(result.point @ result.point)
-    active = _active_set(result)
-    # at the floor every weight lies on <alpha, beta> = ||beta||^2 and
-    # nothing can certify, so no face is kept there
-    if bound <= 1.0 / n + ENERGY_TOL or len(active) == len(vectors):
-        return bound, None
-    keep = np.zeros_like(support)
-    for i, j, k in (slot for idx in active for slot in weights[idx].triples):
-        keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
-    return bound, _Face(keep, vectors, active)
-
-
 def _read_certificate(rotated: np.ndarray, e: float, lower: float,
                       floor: float) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
     """One read of the lower bound at the iterate rotated of energy e, held in an eigenframe of its m.
@@ -199,16 +150,23 @@ def _read_certificate(rotated: np.ndarray, e: float, lower: float,
     (unit-norm nu in that frame, witness curve).  The truncation
     nu is tested in floats first; the exact witness is worked out, once per
     support mask, only for a nu that is a soliton at energy L.
+
+    The bound and the face are weights.support_face of rotated, whose
+    support is cut at SUPPORT_TOL of the largest coefficient, so L bounds
+    the stratum energy of rotated with its sub-cut coefficients dropped.
+    At the floor every weight lies on <alpha, beta> = ||beta||^2 and
+    nothing can certify, so the face is tried only above it, and only when
+    Wolfe's active set is smaller than the support.
     """
-    bound, face = _lower_bound(rotated)
-    lower = max(lower, bound)
+    face = support_face(rotated)
+    lower = max(lower, face.bound)
     if e < lower - ENERGY_TOL:
         return lower, "left_orbit", None
     if lower - floor <= ENERGY_TOL:
         return lower, None, None
     if abs(e - lower) <= ENERGY_TOL:
         return lower, "certificate", None
-    if face is not None:
+    if face.bound > floor + ENERGY_TOL and len(face.active) < len(face.result.coefficients):
         nu = StructureTensor(np.where(face.keep, rotated, 0.0))
         report = soliton_check(nu)
         if abs(report.energy - lower) <= ENERGY_TOL and report.is_soliton and face.exponents is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from math import gcd, lcm
 
@@ -23,8 +22,7 @@ import numpy as np
 
 from .algebra import StructureTensor, derivation_algebra, _soliton_data, _soliton_table, _unitary_act_table
 from .snap import format_fraction
-from .weights import (MASK_MEMO_SIZE, SUPPORT_TOL, exact_min_norm_point, min_norm_point, support_mask,
-                      _active_set, _certify_beta, _mask_weights)
+from .weights import SUPPORT_TOL, support_face
 
 SOLITON_TOL = 1e-8
 
@@ -182,7 +180,7 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     In an eigenbasis of m the min-norm point of the support weights is
     exactly diag(m) = beta, so beta is Wolfe's point re-solved in rationals
     over its active set and checked against the KKT conditions in integers
-    (weights.exact_beta).  The support is cut at the residual gate tol: at
+    (weights.Face.label).  The support is cut at the residual gate tol: at
     residual r, a coefficient whose weight is off the plane
     <alpha, beta> = ||beta||^2 is O(r).
     The eigenvalues lambda of m do not choose beta; they certify it by the
@@ -192,11 +190,11 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
     the soliton criterion at tol and RationalSnapError when no exact beta is
     certified.
     The exact beta, or the failure of its KKT check, depends on the support
-    mask alone, so it is kept per mask for the whole process (_mask_beta);
-    every call still rotates mu into its own eigenframe, cuts its own mask
-    and certifies the beta against its own spectrum.  The soliton check
-    reads the kernel stored on mu, so a caller that has already checked mu
-    pays for no second kernel.
+    mask alone, so it is kept on the mask's weights.Face, which the flow's
+    bound and beta_mu share; every call still rotates mu into its own
+    eigenframe, cuts its own mask and certifies the beta against its own
+    spectrum.  The soliton check reads the kernel stored on mu, so a caller
+    that has already checked mu pays for no second kernel.
     """
     report = soliton_check(mu, tol)
     if not report.is_soliton:
@@ -205,20 +203,7 @@ def soliton_type(mu: StructureTensor, tol: float = SOLITON_TOL) -> SolitonType:
         )
     evals, vecs = np.linalg.eigh(report.m)
     rotated = _unitary_act_table(mu.table / mu.norm, vecs.conj().T)  # m = diag(evals)
-    beta = _mask_beta(support_mask(rotated, max(SUPPORT_TOL, tol)).tobytes(), mu.dim)
-    return SolitonType(tuple(sorted(_certify_beta(beta, evals))))
-
-
-@lru_cache(maxsize=MASK_MEMO_SIZE)
-def _mask_beta(key: bytes, n: int) -> tuple[Fraction, ...] | None:
-    """Exact min-norm point of the weights on the (n, n, n) support mask whose bytes are key.
-
-    None when Wolfe's active set fails the exact KKT check (Kirwan-Ness:
-    beta is the min-norm point of the support weights, a function of the
-    mask alone).
-    """
-    vectors = [w.diagonal for w in _mask_weights(np.frombuffer(key, dtype=bool).reshape(n, n, n))]
-    return exact_min_norm_point(vectors, _active_set(min_norm_point(vectors)))
+    return SolitonType(support_face(rotated, max(SUPPORT_TOL, tol)).label(evals))
 
 
 def sl_residual(mu: StructureTensor) -> float:

@@ -3,9 +3,7 @@
 The stratum parameter beta_mu is the unique minimum-norm point of the
 convex hull of the supported weights, computed by Wolfe's algorithm in
 .weights and re-solved there in rationals; every label is an exact
-moment.SolitonType and the floats only certify it.  This module re-exports that layer, so WeightVector,
-support_weights, MinNormPoint, min_norm_point and certificate_gap keep
-their names here.
+moment.SolitonType and the floats only certify it.
 """
 
 from __future__ import annotations
@@ -14,39 +12,21 @@ from .algebra import StructureTensor
 from .flow import FlowOptions, run_flow
 from .moment import SolitonType
 from .snap import RationalSnapError
-from .weights import (
-    MinNormPoint,
-    WeightVector,
-    certificate_gap,
-    exact_beta,
-    min_norm_point,
-    support_weights,
-)
+from .weights import support_face
 
-__all__ = [
-    "WeightVector",
-    "MinNormPoint",
-    "support_weights",
-    "min_norm_point",
-    "certificate_gap",
-    "beta_mu",
-    "stratum_of",
-]
+__all__ = ["beta_mu", "stratum_of"]
 
 
 def beta_mu(mu: StructureTensor) -> SolitonType:
     """beta_mu of mu in the given basis, exactly: Wolfe's point re-solved over its active set.
 
-    Raises RationalSnapError when the exact point fails the KKT check or
-    lies farther than SNAP_DISTANCE from Wolfe's float point.
+    Reads the Face of mu's support (weights.support_face), which the flow
+    and soliton_type share.  Raises RationalSnapError when the exact point
+    fails the KKT check or lies farther than SNAP_DISTANCE from Wolfe's
+    float point.
     """
-    vectors = [w.diagonal for w in support_weights(mu)]
-    return _exact_label(vectors, min_norm_point(vectors))
-
-
-def _exact_label(vectors, result: MinNormPoint) -> SolitonType:
-    """Wolfe's result over the weight diagonals vectors, re-solved exactly (weights.exact_beta)."""
-    return SolitonType(tuple(sorted(exact_beta(vectors, result, result.point))))
+    face = support_face(mu.table)
+    return SolitonType(face.label(face.result.point))
 
 
 def stratum_of(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> SolitonType:

@@ -9,16 +9,23 @@ the W_beta membership test.  This module sits below the flow, which reads
 stratum energy, and below the stratification built on the flow.
 
 Wolfe's active set also fixes beta exactly: exact_min_norm_point re-solves
-it in rationals and checks the KKT conditions, exact_beta accepts the
-result as a label once it lies within SNAP_DISTANCE of the float spectrum
-it names, and degeneration_witness turns it into an integer one-parameter
-subgroup that degenerates the tensor to the coefficients of that face.
+it in rationals and checks the KKT conditions, and degeneration_witness
+turns it into an integer one-parameter subgroup that degenerates the tensor
+to the coefficients of that face.
+
+By Kirwan-Ness all of this depends on the support mask alone, so one Face
+per mask carries it: Wolfe's result, the bound, the active face and its
+witness, and the exact label, accepted once it lies within SNAP_DISTANCE
+of the float spectrum it names.  support_face keeps the Faces for the whole
+process, in an LRU cache of MASK_MEMO_SIZE masks, so the flow, soliton_type
+and beta_mu share one solve on a shared mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import floor, gcd, lcm
 
 import numpy as np
@@ -26,8 +33,8 @@ import numpy as np
 from .algebra import StructureTensor
 from .snap import RationalSnapError, format_fraction
 
-__all__ = ["WeightVector", "MinNormPoint", "support_weights", "min_norm_point", "certificate_gap",
-           "exact_min_norm_point", "exact_beta", "degeneration_witness"]
+__all__ = ["WeightVector", "MinNormPoint", "Face", "support_weights", "support_face", "min_norm_point",
+           "certificate_gap", "exact_min_norm_point", "degeneration_witness"]
 
 SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the largest one
 # largest accepted max_i |lambda_i - beta_i| between an exact beta and the
@@ -35,9 +42,9 @@ SUPPORT_TOL = 1e-10   # a coefficient is supported above this fraction of the la
 SNAP_DISTANCE = 1e-4
 IMPROVE_TOL = 1e-14   # Wolfe stops once no vertex improves ||x||^2 by more than this
 MAX_MAJOR = 1000      # Wolfe's major-cycle budget
-# support masks whose Wolfe results are kept for the whole process, by the
-# flow's bound and by the soliton labels; a run meets a few dozen (full
-# supports, catalog supports)
+# support masks whose Faces are kept for the whole process.  A benchmark run
+# (seed 0) meets 124 masks in the first `flows` round, 169 by the third and
+# 268 by the twelfth, when the cache evicts; `classify` meets 77, 112 and 218
 MASK_MEMO_SIZE = 256
 
 
@@ -271,37 +278,6 @@ def exact_min_norm_point(vectors, active) -> tuple[Fraction, ...] | None:
     return tuple(beta)
 
 
-def exact_beta(vectors, result: MinNormPoint, floats) -> tuple[Fraction, ...]:
-    """Wolfe's result over vectors re-solved exactly, and certified against a float spectrum.
-
-    The exact point must pass exact_min_norm_point's checks and lie within
-    SNAP_DISTANCE of floats in every coordinate; RationalSnapError otherwise.
-    """
-    return _certify_beta(exact_min_norm_point(vectors, _active_set(result)), floats)
-
-
-def _active_set(result: MinNormPoint) -> list[int]:
-    """Indices of the vectors that carry positive weight in Wolfe's result."""
-    return [int(i) for i in np.flatnonzero(result.coefficients)]
-
-
-def _certify_beta(beta: tuple[Fraction, ...] | None, floats) -> tuple[Fraction, ...]:
-    """beta, exact_min_norm_point's answer, once it lies within SNAP_DISTANCE of floats.
-
-    Raises RationalSnapError when beta is None (the exact KKT check failed)
-    or lies farther from floats in some coordinate.
-    """
-    if beta is None:
-        raise RationalSnapError("Wolfe's active set fails the exact KKT check")
-    distance = max(abs(float(b) - float(x)) for b, x in zip(beta, floats))
-    if distance > SNAP_DISTANCE:
-        raise RationalSnapError(
-            f"exact beta ({', '.join(map(format_fraction, beta))}) lies {distance:.3e} from the "
-            f"float spectrum, more than {SNAP_DISTANCE:g}"
-        )
-    return beta
-
-
 def degeneration_witness(vectors, active, beta) -> tuple[int, ...] | None:
     """Integer a with <a, v> = 0 on the active weights and <a, v> > 0 on all others.
 
@@ -344,3 +320,86 @@ def degeneration_witness(vectors, active, beta) -> tuple[int, ...] | None:
     if any(_dot(exponents, v) != 0 for v in face) or any(_dot(exponents, v) <= 0 for v in others):
         return None
     return exponents
+
+
+# --- one Wolfe solve per support mask -----------------------------------------
+
+
+def _unpack(mask: bytes, n: int) -> list[WeightVector]:
+    """The support weights of the (n, n, n) support mask whose bytes are mask."""
+    return _mask_weights(np.frombuffer(mask, dtype=bool).reshape(n, n, n))
+
+
+@dataclass(frozen=True)
+class Face:
+    """Wolfe's solve over the weights of one support mask, and what it decides.
+
+    The flow reads bound and, above the floor, keep (the coefficients of the
+    active weights) and exponents (their witness); the labels read label.
+    A Face is built from the mask, n and Wolfe's result alone: the weights
+    are rebuilt from the mask when beta, keep or exponents is first worked
+    out, and every derived value is kept once known.
+    """
+
+    mask: bytes
+    n: int
+    result: MinNormPoint
+
+    @cached_property
+    def active(self) -> list[int]:
+        """Indices of the weights that carry positive weight in Wolfe's result."""
+        return [int(i) for i in np.flatnonzero(self.result.coefficients)]
+
+    @cached_property
+    def bound(self) -> float:
+        """||beta||^2 of Wolfe's float point."""
+        return float(self.result.point @ self.result.point)
+
+    @cached_property
+    def beta(self) -> tuple[Fraction, ...] | None:
+        """Wolfe's point re-solved exactly over its active set; None when the exact KKT check fails."""
+        return exact_min_norm_point([w.diagonal for w in _unpack(self.mask, self.n)], self.active)
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """The (n, n, n) coefficient mask of the active weights."""
+        weights = _unpack(self.mask, self.n)
+        keep = np.zeros((self.n,) * 3, dtype=bool)
+        for i, j, k in (slot for idx in self.active for slot in weights[idx].triples):
+            keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
+        return keep
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...] | None:
+        """Integer a, checked exactly, that degenerates the support to keep; None when none exists."""
+        if self.beta is None:
+            return None
+        return degeneration_witness([w.diagonal for w in _unpack(self.mask, self.n)], self.active, self.beta)
+
+    def label(self, floats) -> tuple[Fraction, ...]:
+        """The exact beta, ascending, certified by its snap distance to the float spectrum floats.
+
+        floats are read in the coordinates of the mask.  Raises
+        RationalSnapError when the exact KKT check failed or some
+        |beta_i - floats_i| exceeds SNAP_DISTANCE.
+        """
+        beta = self.beta
+        if beta is None:
+            raise RationalSnapError("Wolfe's active set fails the exact KKT check")
+        distance = max(abs(float(b) - float(x)) for b, x in zip(beta, floats))
+        if distance > SNAP_DISTANCE:
+            raise RationalSnapError(
+                f"exact beta ({', '.join(map(format_fraction, beta))}) lies {distance:.3e} from the "
+                f"float spectrum, more than {SNAP_DISTANCE:g}"
+            )
+        return tuple(sorted(beta))
+
+
+def support_face(table: np.ndarray, tol: float = SUPPORT_TOL) -> Face:
+    """The Face of the support of an (n, n, n) table cut at tol (support_mask), memoized per mask."""
+    return _mask_face(support_mask(table, tol).tobytes(), table.shape[0])
+
+
+@lru_cache(maxsize=MASK_MEMO_SIZE)
+def _mask_face(mask: bytes, n: int) -> Face:
+    return Face(mask, n, min_norm_point([w.diagonal for w in _unpack(mask, n)]))

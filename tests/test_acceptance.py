@@ -39,7 +39,7 @@ from jordanflow.sampling import (
     random_symmetric_tensor,
     random_unitary,
 )
-from jordanflow.stratify import min_norm_point
+from jordanflow.weights import min_norm_point
 from jordanflow.algebra import StructureTensor, direct_product
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jordanflow import algebra, cli, stratify
+from jordanflow import algebra, cli, weights
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
 from jordanflow.stratify import stratum_of
@@ -276,7 +276,7 @@ def test_stratify_prints_the_exact_beta_and_fails_without_a_certificate(capsys, 
     def uncertified(*args):
         raise cli.RationalSnapError("no certified label")
 
-    monkeypatch.setattr(stratify, "exact_beta", uncertified)
+    monkeypatch.setattr(weights.Face, "label", uncertified)
     code, _, err = run_cli(capsys, "stratify", "--catalog", "A_4_68")
     assert code == 1
     assert err == "error: no certified label\n"

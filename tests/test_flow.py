@@ -3,21 +3,21 @@ import csv
 import numpy as np
 import pytest
 
-from jordanflow import flow
+from jordanflow import flow, weights
 from jordanflow.algebra import StructureTensor, act, derivation_algebra
 from jordanflow.catalog import builtin, heisenberg, match
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
-from jordanflow.stratify import min_norm_point, support_weights
+from jordanflow.weights import min_norm_point, support_weights
 
 
 @pytest.fixture
 def fresh_memo():
     """An empty process-wide mask memo, emptied again afterwards so no stubbed result outlives the test."""
-    flow._mask_bound.cache_clear()
+    weights._mask_face.cache_clear()
     yield
-    flow._mask_bound.cache_clear()
+    weights._mask_face.cache_clear()
 
 
 def test_flow_from_semisimple_reaches_minimum(rng):
@@ -87,7 +87,7 @@ def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch, fres
         calls.append(len(vectors))
         return min_norm_point(vectors)
 
-    monkeypatch.setattr(flow, "min_norm_point", counting)
+    monkeypatch.setattr(weights, "min_norm_point", counting)
     trace = run_flow(builtin("A_4_63").tensor)
     assert trace.stop_reason == "certificate"
     assert trace.converged
@@ -98,7 +98,10 @@ def test_non_distinguished_flow_stops_on_its_witness_at_step_0(monkeypatch, fres
     assert derivation_algebra(trace.terminal)[0] == 5
     assert trace.witness is not None
     assert all(isinstance(a, int) for a in trace.witness.exponents)
-    assert calls == [3]
+    # one Wolfe solve on the one support mask, over its three weights, then the
+    # witness's inner solve over the one weight Wolfe left out, projected
+    assert calls == [3, 1]
+    assert weights._mask_face.cache_info().misses == 1
 
 
 def test_a_second_flow_on_the_same_start_reuses_the_mask_memo(monkeypatch, fresh_memo):
@@ -109,7 +112,7 @@ def test_a_second_flow_on_the_same_start_reuses_the_mask_memo(monkeypatch, fresh
         calls.append(len(vectors))
         return min_norm_point(vectors)
 
-    monkeypatch.setattr(flow, "min_norm_point", counting)
+    monkeypatch.setattr(weights, "min_norm_point", counting)
     start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
     first = run_flow(start)
     assert calls
@@ -142,8 +145,8 @@ def test_witness_degenerates_the_rotated_start_to_the_terminal(fresh_memo):
     trace = run_flow(mu)
     t = mu.table.real / mu.norm   # a real start flows in real arithmetic
     rotated, vecs, _ = flow._eigenframe(t, *flow._energy_moment(t), np.eye(4))
-    flow._mask_bound.cache_clear()
-    assert flow._lower_bound(rotated)[0] == pytest.approx(1.5, abs=1e-12)
+    weights._mask_face.cache_clear()
+    assert weights.support_face(rotated).bound == pytest.approx(1.5, abs=1e-12)
     target = act(vecs.conj().T, trace.terminal)   # the terminal in the frame of the witness
     last = np.inf
     for s in (0.7, 0.5, 0.3):
@@ -156,7 +159,7 @@ def test_witness_degenerates_the_rotated_start_to_the_terminal(fresh_memo):
 
 def test_no_witness_no_certificate_for_a_4_63(monkeypatch, fresh_memo):
     # without an exactly checked exponent vector the truncation is never tried
-    monkeypatch.setattr(flow, "degeneration_witness", lambda *args: None)
+    monkeypatch.setattr(weights, "degeneration_witness", lambda *args: None)
     trace = run_flow(builtin("A_4_63").tensor, FlowOptions(max_steps=3))
     assert trace.stop_reason == "max_steps"
     assert trace.witness is None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jordanflow import algebra, catalog, flow, moment
+from jordanflow import algebra, catalog, flow, moment, weights
 from jordanflow.algebra import StructureTensor, act, inf_act, soliton_product, tensor_inner
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names, reproduce_tables
 from jordanflow.flow import run_flow
@@ -27,6 +27,7 @@ from jordanflow.sampling import (
     random_unitary,
 )
 from jordanflow.snap import RationalSnapError
+from jordanflow.stratify import beta_mu
 from jordanflow.weights import MinNormPoint, support_weights
 
 
@@ -232,20 +233,20 @@ def test_soliton_type_of_unitary_images_of_a_4_68(rng):
 
 @pytest.fixture
 def beta_memo():
-    """An empty process-wide beta memo, emptied again afterwards so no stubbed result outlives the test."""
-    moment._mask_beta.cache_clear()
-    yield moment._mask_beta
-    moment._mask_beta.cache_clear()
+    """An empty process-wide mask memo, emptied again afterwards so no stubbed result outlives the test."""
+    weights._mask_face.cache_clear()
+    yield weights._mask_face
+    weights._mask_face.cache_clear()
 
 
 def counting_wolfe(monkeypatch, calls, stub=None):
-    solve = moment.min_norm_point
+    solve = weights.min_norm_point
 
     def counting(vectors):
         calls.append(len(vectors))
         return (stub or solve)(vectors)
 
-    monkeypatch.setattr(moment, "min_norm_point", counting)
+    monkeypatch.setattr(weights, "min_norm_point", counting)
 
 
 def test_a_second_image_with_the_same_mask_runs_no_wolfe(rng, monkeypatch, beta_memo):
@@ -293,6 +294,20 @@ def test_a_cached_kkt_failure_raises_afresh_each_time(monkeypatch, beta_memo):
     assert [str(e) for e in errors] == ["Wolfe's active set fails the exact KKT check"] * 2
     assert errors[0] is not errors[1]
     assert len(calls) == 1
+
+
+def test_the_flow_and_both_labels_share_one_wolfe_solve(monkeypatch, beta_memo):
+    # A_3_7 flows from a mask that is also its label mask: the flow's bound,
+    # the terminal's soliton_type and beta_mu all read the same Face
+    mu = builtin("A_3_7").tensor
+    calls = []
+    counting_wolfe(monkeypatch, calls)
+    trace = run_flow(mu)
+    assert calls
+    calls.clear()
+    assert trace.terminal_type == soliton_type(mu) == beta_mu(mu)
+    assert calls == []
+    assert beta_memo.cache_info().currsize == 1
 
 
 DISTINGUISHED = {d: [name for name in names(d) if builtin(name).distinguished] for d in (1, 2, 3, 4)}

@@ -8,14 +8,14 @@ from jordanflow.algebra import StructureTensor, act
 from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
 from jordanflow.moment import SolitonType, moment_map, energy, soliton_check
 from jordanflow.sampling import random_group_element, random_unitary
-from jordanflow.stratify import (
-    beta_mu,
+from jordanflow.stratify import beta_mu, stratum_of
+from jordanflow.weights import (
     certificate_gap,
+    degeneration_witness,
+    exact_min_norm_point,
     min_norm_point,
-    stratum_of,
     support_weights,
 )
-from jordanflow.weights import degeneration_witness, exact_min_norm_point
 
 
 def test_support_weights_examples():
