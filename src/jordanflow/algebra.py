@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from typing import Iterator, Mapping
@@ -21,6 +22,13 @@ RANK_TOL = 1e-8        # relative singular-value cutoff for all rank decisions
 # Largest dim a tensor document may declare.  The rank kernels build an
 # (n^3, n^2) complex matrix: 16 MB at n = 16, 512 MB at n = 32.
 MAX_DOCUMENT_DIM = 16
+# A nonzero tensor document's largest |re| or |im| must lie in
+# [1 / MAX_COEFFICIENT_SCALE, MAX_COEFFICIENT_SCALE].  Across that range, at
+# n <= MAX_DOCUMENT_DIM, ||t||^4, ||M||^2 and the squared norms of the cubic
+# residuals (D.t, the Jordan defect) are normal float64 numbers.  At 1e60 the
+# residual norms of a non-soliton overflow to inf, and at 1e-60 they underflow
+# to 0, which reads as a soliton.
+MAX_COEFFICIENT_SCALE = 1e40
 SPLIT_TOL = 1e-7       # is_decomposable: residual bound on a candidate splitting projection
 SPLIT_TRIES = 8        # is_decomposable: random centroid elements tried
 
@@ -635,11 +643,14 @@ def is_decomposable(mu: StructureTensor) -> bool:
     """True when the algebra splits as a direct product of two nonzero ideals.
 
     A splitting exists iff the centroid contains a nontrivial idempotent.
-    The eigenvalues of a random centroid element separate the factors (the
+    The eigenvalues of a generic centroid element separate the factors (the
     nilpotent part of the centroid does not move them); the spectral
     projection onto one cluster is verified to be idempotent, to lie in the
     centroid, and to kill cross products (each to SPLIT_TOL, relative)
-    before the split is accepted.  SPLIT_TRIES seeded draws are tried.
+    before the split is accepted.  SPLIT_TRIES draws of Gaussian
+    coefficients are tried, from the standard library's ``random.Random(0)``:
+    any such draw is generic with probability 1, and numpy.random is never
+    loaded.
     """
     n = mu.dim
     if n <= 1:
@@ -651,9 +662,9 @@ def is_decomposable(mu: StructureTensor) -> bool:
     # radius ~ eps^(1/k); linking at the widest such ring (k = n) keeps a
     # defective eigenvalue in one cluster.
     link_tol = max(1e-6, 2.0 * (n * np.finfo(float).eps) ** (1.0 / n))
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(SPLIT_TRIES):
-        coeffs = rng.normal(size=cent.shape[0])
+        coeffs = np.array([rng.gauss(0.0, 1.0) for _ in range(cent.shape[0])])
         r = np.einsum("k,kij->ij", coeffs, cent)
         scale = max(1.0, float(np.max(np.abs(r))))
         clusters = _cluster_points(np.linalg.eigvals(r), link_tol=link_tol * scale)
@@ -699,10 +710,22 @@ def to_json_dict(mu: StructureTensor) -> dict:
     }
 
 
+def _json_number(value, integral: bool = False) -> float | int:
+    """A JSON number field read strictly: no bool, no string, and no fraction where an integer is due."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not integral:
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def from_json_dict(data: dict) -> StructureTensor:
-    """Parse a tensor document; dim above MAX_DOCUMENT_DIM is refused before anything is allocated."""
+    """Parse a tensor document; dim above MAX_DOCUMENT_DIM is refused before anything is allocated,
+    and a nonzero tensor whose coefficient scale is outside MAX_COEFFICIENT_SCALE before it is built."""
     try:
-        dim = int(data["dim"])
+        dim = _json_number(data["dim"], integral=True)
         raw = data["products"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed tensor document: {exc!r}") from exc
@@ -713,8 +736,8 @@ def from_json_dict(data: dict) -> StructureTensor:
     products: dict[tuple[int, int, int], complex] = {}
     for entry in raw:
         try:
-            i, j, k = int(entry["i"]), int(entry["j"]), int(entry["k"])
-            value = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+            i, j, k = (_json_number(entry[key], integral=True) for key in "ijk")
+            value = complex(_json_number(entry["re"]), _json_number(entry.get("im", 0.0)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed product entry {entry!r}: {exc!r}") from exc
         if i > j:
@@ -724,6 +747,10 @@ def from_json_dict(data: dict) -> StructureTensor:
         if (i, j, k) in products:
             raise ValueError(f"duplicate product entry ({i}, {j}, {k})")
         products[(i, j, k)] = value
+    scale = max((max(abs(c.real), abs(c.imag)) for c in products.values()), default=0.0)
+    if 0.0 < scale < math.inf and not 1 / MAX_COEFFICIENT_SCALE <= scale <= MAX_COEFFICIENT_SCALE:
+        raise ValueError(f"largest coefficient magnitude {scale:g} is outside "
+                         f"[{1 / MAX_COEFFICIENT_SCALE:g}, {MAX_COEFFICIENT_SCALE:g}]; rescale the tensor")
     return StructureTensor.from_products(dim, products)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import brute_jordan_defect, eig_expm
 from jordanflow.algebra import (
+    MAX_COEFFICIENT_SCALE,
     MAX_DOCUMENT_DIM,
     StructureTensor,
     Subspace,
@@ -38,7 +39,7 @@ from jordanflow.algebra import (
     trace_form,
     unit_element,
 )
-from jordanflow.catalog import builtin, heisenberg, hyperbolic
+from jordanflow.catalog import builtin, heisenberg, hyperbolic, names
 from jordanflow.moment import moment_matrix
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -289,6 +290,23 @@ def test_decomposability_of_products_with_defective_centroid_spectra():
         assert is_decomposable(act(random_unitary(np.random.default_rng(seed), 8), product))
 
 
+def test_decomposability_of_unitary_images_matches_the_tables():
+    # the centroid draw is fixed but arbitrary, so its verdicts are checked on
+    # orbits: a unitary image of every entry and of direct products at n = 5..8
+    rng = np.random.default_rng(100)
+    for name in names():
+        entry = builtin(name)
+        mu = act(random_unitary(rng, entry.tensor.dim), entry.tensor)
+        assert is_decomposable(mu) == entry.flags.decomposable, name
+    by_dim = {d: names(d) for d in range(1, 5)}
+    for n in range(5, 9):
+        for _ in range(8):
+            first = int(rng.integers(n - 4, 5))
+            a, b = (by_dim[d][int(rng.integers(len(by_dim[d])))] for d in (first, n - first))
+            product = direct_product(builtin(a).tensor, builtin(b).tensor)
+            assert is_decomposable(act(random_unitary(rng, n), product)), (a, b)
+
+
 def test_simplicity():
     assert is_simple(builtin("A_1_1").tensor)
     assert is_simple(builtin("A_3_2").tensor)
@@ -389,6 +407,31 @@ def test_json_rejects_bad_documents():
         from_json_dict({"dim": 2, "products": [None]})
     with pytest.raises(ValueError, match="must be a list"):
         from_json_dict({"dim": 2, "products": 3})
+    # integer fields are JSON integers (an integral float passes), never a bool, a
+    # fraction or a string; coefficients are JSON numbers, never a bool
+    for doc in ({"dim": 2.7, "products": []}, {"dim": True, "products": []},
+                {"dim": "2", "products": []}):
+        with pytest.raises(ValueError, match="malformed tensor document"):
+            from_json_dict(doc)
+    for bad in ({"i": 1.9}, {"j": True}, {"k": "2"}, {"re": True}, {"im": False}, {"re": "1.0"}):
+        entry = {"i": 1, "j": 1, "k": 2, "re": 1.0, **bad}
+        with pytest.raises(ValueError, match="malformed product entry"):
+            from_json_dict({"dim": 2, "products": [entry]})
+    assert from_json_dict({"dim": 2.0, "products": [{"i": 1.0, "j": 1, "k": 2, "re": 1}]}).dim == 2
+
+
+def test_json_refuses_coefficients_outside_the_scale_bound():
+    def doc(*values):
+        return {"dim": 2, "products": [{"i": 1, "j": 1, "k": k, "re": re, "im": im}
+                                       for k, (re, im) in enumerate(values, start=1)]}
+    for values in ([(1e41, 0.0)], [(0.0, -1e41)], [(1e-41, 0.0)], [(1e-41, 0.0), (0.0, 1e-45)]):
+        with pytest.raises(ValueError, match="largest coefficient magnitude"):
+            from_json_dict(doc(*values))
+    # the scale is the largest |re| or |im|: a tiny coefficient beside a normal one is kept
+    for values in ([(MAX_COEFFICIENT_SCALE, 0.0)], [(0.0, 1 / MAX_COEFFICIENT_SCALE)],
+                   [(1.0, 0.0), (1e-300, 0.0)], [(0.0, 0.0)]):
+        assert from_json_dict(doc(*values)).dim == 2
+    assert from_json_dict({"dim": 3, "products": []}).norm_sq == 0.0
 
 
 LOADER_CASES = settings(max_examples=200, deadline=None, database=None)

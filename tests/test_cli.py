@@ -8,6 +8,7 @@ import pytest
 from jordanflow import algebra, cli, weights
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
+from jordanflow.sampling import random_symmetric_tensor
 from jordanflow.stratify import stratum_of
 
 DATA = Path(__file__).parent / "data"
@@ -112,6 +113,64 @@ def test_bad_tensor_file_is_one_line_usage_error(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _two_term(scale: float) -> str:
+    """{(1,1,1), (1,2,2)} at dim 2, every coefficient `scale`: a soliton of energy 1."""
+    return json.dumps({"dim": 2, "products": [{"i": 1, "j": 1, "k": 1, "re": scale},
+                                              {"i": 1, "j": 2, "k": 2, "re": scale}]})
+
+
+EVERY_TENSOR_COMMAND = (["validate"], ["invariants"], ["moment"], ["moment", "--json"], ["flow"],
+                        ["stratify"], ["stratify", "--flow"])
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-80, 1e140, 1e200, 1e60, 1e-60])
+def test_extreme_coefficients_are_one_line_usage_errors(tmp_path, capsys, scale):
+    # read at these scales, moment and flow raise OverflowError or
+    # ZeroDivisionError, print NaN tokens, or read a non-soliton as a soliton
+    doc = tmp_path / "extreme.json"
+    doc.write_text(_two_term(scale))
+    for argv in EVERY_TENSOR_COMMAND:
+        code, out, err = run_cli(capsys, *argv, str(doc))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: largest coefficient magnitude") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("scale", [algebra.MAX_COEFFICIENT_SCALE, 1 / algebra.MAX_COEFFICIENT_SCALE])
+def test_coefficients_at_the_scale_bound_give_scale_free_results(tmp_path, capsys, scale):
+    unit, scaled = tmp_path / "unit.json", tmp_path / "scaled.json"
+    unit.write_text(_two_term(1.0))
+    scaled.write_text(_two_term(scale))
+    keys = {"moment": ("energy", "is_soliton", "soliton_residual", "sl_residual", "soliton_type"),
+            "flow": ("steps", "stop_reason", "terminal_energy", "terminal_type"),
+            "stratify": ("beta", "certificate_gap", "stratum")}
+    for command, fields in keys.items():
+        extra = ["--flow"] if command == "stratify" else []
+        results = []
+        for path in (unit, scaled):
+            code, out, _ = run_cli(capsys, command, str(path), "--json", *extra)
+            assert code == 0 and "Infinity" not in out and "NaN" not in out, command
+            results.append(json.loads(out))
+        for key in fields:
+            unit_value, scaled_value = (result[key] for result in results)
+            if isinstance(unit_value, float):   # the same up to roundoff
+                assert scaled_value == pytest.approx(unit_value, rel=1e-12, abs=1e-15), key
+            else:
+                assert scaled_value == unit_value, key
+    # a non-soliton keeps its verdict and relative residual: neither overflows
+    # to inf nor underflows to 0 at the bound
+    mu = random_symmetric_tensor(np.random.default_rng(3), 4)
+    table = mu.table / np.max(np.abs(np.stack([mu.table.real, mu.table.imag])))
+    residuals = []
+    for factor in (1.0, scale):
+        scaled.write_text(dump_tensor(algebra.StructureTensor(table * factor)))
+        code, out, _ = run_cli(capsys, "moment", str(scaled), "--json")
+        report = json.loads(out)
+        assert code == 0 and report["is_soliton"] is False
+        residuals.append(report["soliton_residual"])
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -1,12 +1,19 @@
-"""Import rules of the package, checked on its source.
+"""Import rules of the package, checked on its source and in cold CLI processes.
 
 Private (_-prefixed) names cross module lines only out of algebra, whose
 table kernels they are; every other shared helper is public.  No function
 imports a jordanflow module, so no import cycle hides behind a local import.
+No CLI path loads numpy.random: the library's one draw uses the standard
+library's generator.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import jordanflow
 
@@ -58,3 +65,33 @@ def test_no_function_imports_a_jordanflow_module():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and _source(node) is not None
     ]
     assert local == []
+
+
+# runs the CLI as `python -m jordanflow.cli ...` would, then reports on stderr
+# whether numpy.random was loaded; the CLI's own output goes to stdout
+_CLI_THEN_REPORT = """
+import runpy, sys
+sys.argv = ["jordan-flow", *sys.argv[1:]]
+try:
+    runpy.run_module("jordanflow.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+print(f"exit={code} numpy.random={'numpy.random' in sys.modules}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--json"],
+    ["invariants", "--catalog", "A_3_7"],
+    ["moment", "--catalog", "A_3_7"],
+    ["flow", "--catalog", "A_3_7"],
+    ["stratify", "--catalog", "A_3_7", "--flow"],
+])
+def test_no_cli_path_loads_numpy_random(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _CLI_THEN_REPORT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr.strip().splitlines()[-1] == "exit=0 numpy.random=False"

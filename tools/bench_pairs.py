@@ -10,15 +10,21 @@ with the same settings, and the side that runs first alternates from pair
 to pair.  For each end-to-end metric the record holds every run, each
 side's median and quartiles, the change's relative difference in the
 median, and the pairs in which the change was better (ties count for
-neither).  It also makes one traced run per side and workload and keeps
-the per-layer counts, which come from set-up and the first round only.
-The machine the runs were made on is recorded too.
+neither).  Each metric is also judged by the acceptance rule (`judge`):
+`gain_shown` when the change is better in at least 9 of 10 pairs and its
+median beats the parent's by more than the parent's q3 - q1, and
+`within_bound` when its median is no worse than the parent's by more than
+the metric's bound in BENCHMARK.json.  It also makes one traced run per
+side and workload and keeps the per-layer counts, which come from set-up
+and the first round only.  The machine the runs were made on is recorded
+too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -29,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = (("tables", 0, 10), ("flows", 0, 10), ("classify", 0, 10), ("flows", 1, 3))   # name, seed, pairs
+GAIN_PAIR_SHARE = 0.9   # a claimed gain must show in at least 9 of 10 pairs
 
 
 def _git(*args: str) -> str:
@@ -53,6 +60,26 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def judge(parent: list[float], change: list[float], bound: float | None, better: str = "lower") -> dict:
+    """The acceptance rule on one metric's paired runs (parent[i] and change[i] are pair i).
+
+    gain_shown: the change is better in at least GAIN_PAIR_SHARE of the pairs
+    (ties count for neither), and its median is better than the parent's by
+    more than the parent's q3 - q1.  within_bound: the change's median is worse
+    than the parent's by at most the relative bound (None when there is no bound).
+    """
+    if len(parent) != len(change) or len(parent) < 2:
+        raise ValueError("judge needs at least two pairs of runs")
+    sign = 1.0 if better == "lower" else -1.0   # sign * (parent - change) > 0 when the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    base = _quartiles(parent)
+    gain = sign * (base["median"] - statistics.median(change))
+    return {
+        "gain_shown": wins >= math.ceil(GAIN_PAIR_SHARE * len(parent)) and gain > base["q3"] - base["q1"],
+        "within_bound": None if bound is None else -gain <= bound * base["median"],
+    }
+
+
 def _machine() -> dict:
     model = ""
     try:
@@ -75,6 +102,7 @@ def _compare(workload: str, seed: int, pairs: int, sides: dict[str, Path]) -> di
             print(f"{workload} seed {seed} pair {i + 1}/{pairs} {side}: "
                   f"{ {k: round(v['value'], 3) for k, v in runs[side][-1]['metrics'].items()} }",
                   file=sys.stderr, flush=True)
+    declared = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     metrics = {}
     for name, first in runs["parent"][0]["metrics"].items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
@@ -88,6 +116,10 @@ def _compare(workload: str, seed: int, pairs: int, sides: dict[str, Path]) -> di
             "change_better_pairs": sum(c < p for p, c in zip(values["parent"], values["change"])),
             "pairs": pairs,
         }
+        if pairs > 1:
+            rule = declared.get(name, {})
+            metrics[name].update(judge(values["parent"], values["change"], rule.get("bound"),
+                                       rule.get("better", "lower")))
     return {
         "workload": workload, "seed": seed, "metrics": metrics,
         "correct": all(r["correct"] for side in runs.values() for r in side),
