@@ -271,7 +271,8 @@ def jordan_defect(mu: StructureTensor) -> float:
 
 
 def is_jordan(mu: StructureTensor, tol: float = 1e-9) -> bool:
-    return jordan_defect(mu) <= tol
+    """jordan_defect(mu) <= tol ||mu||^3: the defect is cubic in mu, so the verdict is scale-free."""
+    return jordan_defect(mu) <= tol * mu.norm**3
 
 
 @_stored
@@ -281,7 +282,8 @@ def associator_defect(mu: StructureTensor) -> float:
 
 
 def is_associative(mu: StructureTensor, tol: float = 1e-9) -> bool:
-    return associator_defect(mu) <= tol
+    """associator_defect(mu) <= tol ||mu||^2: the associator is quadratic in mu, so the verdict is scale-free."""
+    return associator_defect(mu) <= tol * mu.norm_sq
 
 
 # ---------------------------------------------------------------------------

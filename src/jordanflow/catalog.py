@@ -521,7 +521,7 @@ def _fingerprint(mu: StructureTensor, stratum_energy: float) -> Fingerprint:
         product_rank=product_rank(mu),
         is_nilpotent=dims[-1] == 0,
         is_semisimple=is_semisimple(mu),
-        is_associative=is_associative(mu, tol=max(1e-9, RANK_TOL * mu.norm**2)),
+        is_associative=is_associative(mu, tol=RANK_TOL),
         has_unit=has_unit(mu, tol=max(1e-9, RANK_TOL)),
         stratum_energy=stratum_energy,
     )
@@ -629,7 +629,7 @@ def _flags_agree(entry: CatalogEntry) -> bool:
 def _reproduce_row(name: str) -> ReproduceRow:
     entry = builtin(name)
     mu = entry.tensor
-    jordan_ok = is_jordan(mu, tol=1e-9)
+    jordan_ok = is_jordan(mu)
     flags_ok = _flags_agree(entry)
     report = soliton_check(mu)
     note = ""

@@ -20,6 +20,7 @@ from .algebra import (
     dump_tensor,
     has_unit,
     is_associative,
+    is_jordan,
     jordan_defect,
     load_tensor,
     power_dims,
@@ -92,17 +93,18 @@ def cmd_validate(args) -> int:
     with open(args.file) as handle:
         mu = load_tensor(handle.read())
     defect = jordan_defect(mu)
+    jordan = is_jordan(mu, args.tol)
     payload = {
         "dim": mu.dim,
         "norm_sq": mu.norm_sq,
         "jordan_defect": defect,
-        "is_jordan": defect <= args.tol,
+        "is_jordan": jordan,
     }
     _emit(args, payload, [
         f"dim           {mu.dim}",
         f"norm^2        {_fmt(mu.norm_sq)}",
         f"jordan defect {_fmt(defect)}",
-        f"is_jordan     {defect <= args.tol}",
+        f"is_jordan     {jordan}",
     ])
     return 0
 
@@ -274,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a tensor JSON file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="relative Jordan tolerance: is_jordan when the defect is at most tol * ||mu||^3")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("invariants", help="classical invariants of an algebra")

@@ -13,6 +13,9 @@ On the orbit the energy is squeezed by the stratum energy (Kirwan-Ness):
 where beta_{k.x} is Wolfe's min-norm point of the support weights of k.x.
 The flow reads the lower bound in an eigenbasis of the moment matrix and
 stops once the two sides meet at float resolution above the floor 1/n.
+At the floor, E >= 1/n is the lower side for every tensor; a semisimple
+Jordan start lies in the lowest stratum, of energy 1/n, so it stops as
+soon as E reaches the floor.
 The upper side may also be a soliton in the orbit closure: the truncation
 of the rotated iterate to Wolfe's active weights, reached by an integer
 one-parameter subgroup that is checked exactly.  A flow whose energy
@@ -34,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import StructureTensor, act, jordan_defect, _moment_table, _unitary_act_table
+from .algebra import (StructureTensor, act, is_jordan, is_semisimple, jordan_defect, _moment_table,
+                      _unitary_act_table)
 from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import support_face
@@ -125,7 +129,7 @@ def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
     """
     diag = m.diagonal().real
     # m's diagonal is real, so m is diagonal exactly when it has no other nonzero entry
-    if np.count_nonzero(m) == np.count_nonzero(diag) and np.all(diag[:-1] <= diag[1:]):
+    if np.count_nonzero(m) == np.count_nonzero(diag) and (diag[:-1] <= diag[1:]).all():
         return t, frame, 4.0 / n2 * (diag + e)
     evals, vecs = np.linalg.eigh(m)
     return _unitary_act_table(t, vecs.conj().T), frame @ vecs, 4.0 / n2 * (evals + e)
@@ -138,7 +142,15 @@ def _weight_sums(evals: np.ndarray) -> np.ndarray:
     coefficient (i, j, k) has weight -e_i - e_j + e_k, so
     exp(-s A) . t = t * exp(s lam) and A . t = -lam * t.
     """
-    return evals[:, None, None] + evals[None, :, None] - evals[None, None, :]
+    return (evals[:, None] + evals)[:, :, None] - evals
+
+
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), bit for bit: the same ravel and dot(s) without its argument dispatch."""
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+    return math.sqrt(a.dot(a))
 
 
 def _read_certificate(rotated: np.ndarray, e: float, lower: float,
@@ -221,9 +233,18 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       certifies A_4_63 at step 0.  It does not cover starts whose
       truncation is not yet critical, such as torus or generic starts of
       A_4_63: those still flow until E meets L or the plateau rule stops
-      them.  A bound at the floor never stops the flow, because iterates
-      that roundoff carries off their orbit end there with their support
-      filled, and every tensor meets it (tr m = -1);
+      them.  A bound read at the floor never stops the flow, because
+      iterates that roundoff carries off their orbit end there with their
+      support filled, and every tensor meets it (tr m = -1).  The floor
+      itself certifies a start that is Jordan (algebra.is_jordan, decided
+      at the start, where a non-Jordan start is warned about) and
+      semisimple, whose stratum energy is 1/n: the first accepted step
+      with E - 1/n <= ENERGY_TOL stops there, unless the plateau or the
+      gradient stop fires on it.  Semisimplicity is Albert's criterion, a
+      trace form of full rank (algebra.is_semisimple: one n x n SVD of
+      mu, run at that step).  A non-semisimple start keeps its old stop
+      there: its stratum energy lies above the floor (as for all 90
+      non-semisimple catalog entries), so it reached the floor by a fall;
     - plateau: PLATEAU_WINDOW steps in a row lowered E by less than
       ENERGY_TOL;
     - line_search_floor: no float64 decrease possible;
@@ -237,10 +258,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     """
     if mu.is_zero():
         raise ValueError("cannot flow the zero tensor")
-    defect = jordan_defect(mu)
-    if defect > 1e-9 * max(1.0, mu.norm**3):
+    # the floor certifies only a Jordan start, and only when it is semisimple (decided at the first hit)
+    floor_open = is_jordan(mu)
+    if not floor_open:
         warnings.warn(
-            f"flow started from a non-Jordan tensor (defect {defect:.3e}); "
+            f"flow started from a non-Jordan tensor (defect {jordan_defect(mu):.3e}); "
             "the flow is defined but the terminal need not be a Jordan soliton",
             stacklevel=2,
         )
@@ -251,7 +273,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     t, frame, rates = _eigenframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
     lam = _weight_sums(rates)
     energies = [e]
-    grad_norms = [float(np.linalg.norm(lam * t))]
+    grad_norms = [_norm(lam * t)]
     step = STEP0
     plateau = 0
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
@@ -265,11 +287,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             break
         gn = grad_norms[-1]
         accepted = False
-        spread = float(np.max(np.abs(rates))) or 1.0
+        spread = float(max(-rates[0], rates[-1])) or 1.0   # rates ascend, so this is max |rates|
         step = min(step, MAX_LOG_STRETCH / spread)
         while step > STEP_FLOOR:
             cand = t * np.exp(step * lam)
-            cand = cand / np.linalg.norm(cand)
+            cand = cand / _norm(cand)
             e2, m, n2 = _energy_moment(cand)
             if e2 <= e - ARMIJO * step * gn * gn:
                 accepted = True
@@ -284,7 +306,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         lam = _weight_sums(rates)
         steps_taken += 1
         energies.append(e)
-        grad_norms.append(float(np.linalg.norm(lam * t)))
+        grad_norms.append(_norm(lam * t))
         step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
             lower, stop_reason, witness = _read_certificate(t, e, lower, floor)
@@ -294,6 +316,10 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "plateau"
         elif grad_norms[-1] <= opts.grad_tol:
             stop_reason = "gradient"
+        elif floor_open and e - floor <= ENERGY_TOL:
+            floor_open = is_semisimple(mu)
+            if floor_open:
+                stop_reason = "certificate"
     if e < lower - ENERGY_TOL:
         stop_reason = "left_orbit"
 

@@ -112,6 +112,23 @@ def test_jordan_invariant_under_basis_change(rng):
         assert jordan_defect(act(g, mu)) < 1e-9
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(name=st.sampled_from(names()), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       k=st.integers(min_value=-40, max_value=40))
+def test_jordan_and_associative_verdicts_are_scale_free(name, seed, k):
+    # the Jordan defect is cubic and the associator quadratic in mu, so each is
+    # measured against ||mu||^3 or ||mu||^2; an absolute bound called every
+    # small tensor Jordan and associative
+    rng = np.random.default_rng(seed)
+    entry = builtin(name)
+    image = act(random_unitary(rng, entry.dim), entry.tensor)
+    assert is_jordan(image) and is_associative(image) == entry.flags.associative
+    for mu in (image, random_symmetric_tensor(rng, entry.dim)):
+        scaled = mu.scaled(10.0**k)
+        assert is_jordan(scaled) == is_jordan(mu)
+        assert is_associative(scaled) == is_associative(mu)
+
+
 def test_trace_form_examples():
     assert np.allclose(trace_form(builtin("A_2_4").tensor), np.diag([1.0, 1.0]))
     assert np.allclose(trace_form(heisenberg(2)), np.zeros((2, 2)))

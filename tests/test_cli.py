@@ -8,7 +8,7 @@ import pytest
 from jordanflow import algebra, cli, weights
 from jordanflow.algebra import act, dump_tensor, load_tensor
 from jordanflow.catalog import builtin
-from jordanflow.sampling import random_symmetric_tensor
+from jordanflow.sampling import random_symmetric_tensor, random_unitary
 from jordanflow.stratify import stratum_of
 
 DATA = Path(__file__).parent / "data"
@@ -99,6 +99,24 @@ def test_validate_accepts_good_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "validate", str(good))
     assert code == 0
     assert "is_jordan     True" in out
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e10, 1e20])
+def test_validate_tol_is_relative(tmp_path, capsys, scale):
+    # is_jordan compares the defect with tol * ||mu||^3, so the verdict of a
+    # Jordan image and of a non-Jordan tensor does not move with the scale
+    path = tmp_path / "mu.json"
+    image = act(random_unitary(np.random.default_rng(1), 4), builtin("A_4_30").tensor)
+    for mu, jordan in ((image, True), (random_symmetric_tensor(np.random.default_rng(3), 4), False)):
+        mu = mu.scaled(scale)
+        path.write_text(dump_tensor(mu))
+        code, out, _ = run_cli(capsys, "validate", str(path), "--json")
+        assert code == 0 and json.loads(out)["is_jordan"] is jordan
+        if not jordan:
+            rel = json.loads(out)["jordan_defect"] / mu.norm**3
+            for tol, verdict in ((2 * rel, True), (rel / 2, False)):
+                code, out, _ = run_cli(capsys, "validate", str(path), "--tol", repr(tol))
+                assert code == 0 and f"is_jordan     {verdict}" in out
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,11 +1,12 @@
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from jordanflow import flow, weights
-from jordanflow.algebra import StructureTensor, act, derivation_algebra
-from jordanflow.catalog import builtin, heisenberg, match
+from jordanflow.algebra import StructureTensor, act, derivation_algebra, direct_product, is_semisimple
+from jordanflow.catalog import builtin, heisenberg, match, names
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, run_flow
 from jordanflow.moment import energy
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
@@ -169,31 +170,77 @@ def test_no_witness_no_certificate_for_a_4_63(monkeypatch, fresh_memo):
 def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
     # acceptance criterion 3's generic starts: roundoff carries many of these
     # flows off their orbit, down to the floor 1/n, where every tensor's
-    # bound lies; none of them may stop as certified, and the ten that end
-    # below their own lower bound report it.  The two counts are roundoff-level
-    # figures of the step loop; the number below the table may only fall
+    # bound lies; above the floor a certificate pins the table energy, and at
+    # the floor only a semisimple start certifies, whose table energy is 1/n.
+    # The ten that end below their own lower bound report it.  The counts are
+    # roundoff-level figures of the step loop; the number below the table may
+    # only fall
     from conftest import criterion_3_starts
 
     tol = flow.ENERGY_TOL
-    certified = left = below = 0
+    above = at_floor = left = below = 0
     for entry, start in criterion_3_starts():
         trace = run_flow(start)
+        floor = 1.0 / entry.dim
         below += trace.terminal_energy < float(entry.expected_energy) - 1e-9
         assert trace.lower_bound <= float(entry.expected_energy) + 1e-12
         if trace.stop_reason == "certificate":
-            certified += 1
             assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-9)
-            assert trace.lower_bound > 1.0 / entry.dim
             assert trace.witness is None
+            if trace.lower_bound > floor + tol:
+                above += 1
+            else:
+                at_floor += 1
+                assert entry.flags.semisimple, entry.name
+                assert trace.terminal_energy == pytest.approx(floor, abs=1e-9)
         if trace.terminal_energy < trace.lower_bound - tol:
             assert trace.stop_reason == "left_orbit"
         if trace.stop_reason == "left_orbit":
             left += 1
             assert not trace.converged
             assert trace.terminal_type is None
-    assert certified == 30
+    assert above == 30
+    assert at_floor == 22
     assert left == 10
     assert below <= 85
+
+
+def test_generic_semisimple_starts_stop_on_the_floor_certificate(rng):
+    # a Jordan start of full trace-form rank is semisimple (Albert), so its
+    # stratum energy is the floor 1/n that every tensor meets: the flow stops
+    # on certificate at the first step that reaches the floor
+    entries = [builtin(name).tensor for name in names() if builtin(name).flags.semisimple]
+    assert len(entries) == 7
+    products = [direct_product(builtin(a).tensor, builtin(b).tensor) for a, b in
+                (("A_4_1", "A_1_1"), ("A_3_2", "A_2_4"), ("A_4_2", "A_2_4"), ("A_3_1", "A_3_2"),
+                 ("A_4_3", "A_3_1"), ("A_4_1", "A_4_2"))]
+    assert sorted({mu.dim for mu in products}) == [5, 6, 7, 8]
+    tol = flow.ENERGY_TOL
+    for mu in entries + products:
+        n = mu.dim
+        trace = run_flow(act(random_group_element(rng, n), mu))
+        # every tensor of dimension 1 is critical, so A_1_1 stops at step 0 on the gradient
+        assert trace.stop_reason == ("gradient" if n == 1 else "certificate")
+        assert trace.converged and trace.witness is None
+        assert trace.terminal_energy - 1.0 / n <= tol
+        assert all(e - 1.0 / n > tol for e in trace.energies[:-1])
+        assert trace.terminal_type.beta == (Fraction(-1, n),) * n
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_non_jordan_starts_are_never_certified_at_the_floor(scale):
+    # random symmetric tensors are semisimple but not Jordan: they fall to the
+    # floor and keep their old stops, at any scale of the start
+    rng = np.random.default_rng(5)
+    for n in range(2, 6):
+        for real in (False, True):
+            mu = random_symmetric_tensor(rng, n)
+            mu = StructureTensor((mu.table.real if real else mu.table) * scale)
+            assert is_semisimple(mu)
+            with pytest.warns(UserWarning, match="non-Jordan"):
+                trace = run_flow(mu)
+            assert trace.terminal_energy == pytest.approx(1.0 / n, abs=1e-9)
+            assert trace.stop_reason in ("gradient", "line_search_floor")
 
 
 def test_energy_is_monotone_and_bounded_below_by_beta_mu(rng):

@@ -46,7 +46,7 @@ from jordanflow.algebra import (
 )
 from jordanflow.catalog import builtin, names
 from jordanflow.flow import (ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow, _eigenframe,
-                             _energy_moment)
+                             _energy_moment, _norm, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -297,6 +297,21 @@ def test_eigenframe_matches_the_eigh_path_bit_for_bit_on_a_diagonal_m(name, seed
     assert np.array_equal(kept_frame, frame @ vecs)
     if ascending:
         assert kept is t and kept_frame is frame
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds, real=st.booleans(), scale=st.integers(min_value=-40, max_value=40))
+def test_norm_and_weight_sums_match_numpy_bit_for_bit(n, seed, real, scale):
+    """The step loop's _norm is np.linalg.norm, and _weight_sums the three-way broadcast, bit for bit."""
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=(n, n, n)) * 10.0**scale
+    if not real:
+        t = t + 1j * rng.normal(size=(n, n, n)) * 10.0**scale
+    assert _norm(t) == np.linalg.norm(t)
+    assert _norm(t[:, ::-1]) == np.linalg.norm(t[:, ::-1])   # a strided view
+    evals = np.sort(rng.normal(size=n))
+    assert np.array_equal(_weight_sums(evals),
+                          evals[:, None, None] + evals[None, :, None] - evals[None, None, :])
 
 
 @KERNEL_CASES
@@ -582,7 +597,8 @@ def test_one_tensor_two_tolerances_two_verdicts():
     resid = soliton_check(mu).soliton_residual
     assert min(defect, resid_unit, resid) > 0.0
     for _ in range(2):
-        assert is_associative(mu, tol=2 * defect) and not is_associative(mu, tol=defect / 2)
+        rel = defect / mu.norm_sq   # is_associative's tol is relative to ||mu||^2
+        assert is_associative(mu, tol=2 * rel) and not is_associative(mu, tol=rel / 2)
         unit_tol = resid_unit / math.sqrt(n)
         assert has_unit(mu, tol=2 * unit_tol) and not has_unit(mu, tol=unit_tol / 2)
         assert unit_element(mu, tol=2 * unit_tol) is not None and unit_element(mu, tol=unit_tol / 2) is None
