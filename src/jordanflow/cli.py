@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -324,11 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning as one line, without the source line Python prints."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_line
+            return args.func(args)
     except (RuntimeError, RationalSnapError) as exc:   # an uncertified label is a computation failure
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

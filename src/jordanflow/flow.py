@@ -23,8 +23,10 @@ falls below its lower bound has left its orbit and is reported as such.
 
 The lower bound and Wolfe's face depend on the support mask alone, so they
 are read from weights.support_face, the process-wide memo that the labels
-share.  Where m is already diagonal in ascending order the held frame is
-kept as it is, which is what eigh would return there, bit for bit.
+share.  Where the start's support keeps m diagonal, every frame is a
+permutation of the held one and no eigh runs.  Steps that cannot fall
+(moves of such a start, and starts in the lowest stratum) size themselves
+by the energy drop; the others keep a slow fixed growth.
 """
 
 from __future__ import annotations
@@ -39,11 +41,17 @@ import numpy as np
 
 from .algebra import (StructureTensor, act, is_jordan, is_semisimple, jordan_defect, _moment_table,
                       _unitary_act_table)
-from .moment import MomentReport, SolitonType, energy_gradient, soliton_check, soliton_type
+from .moment import MomentReport, SolitonType, energy, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import support_face
 
 ARMIJO = 1e-4
+# on a step that cannot fall (see run_flow), the step grows by STEP_UP when the energy drop is more
+# than DECREASE_RATIO * s * g^2 and shrinks by STEP_DOWN otherwise; on a quadratic of curvature h the
+# drop is (1 - s h / 2) s g^2, so the rule holds s near 1 / h
+DECREASE_RATIO = 0.5
+STEP_UP = 1.5
+STEP_DOWN = 0.8
 STEP0 = 1e-2          # first trial step size
 STEP_FLOOR = 1e-18
 # resolution of every energy comparison: the plateau rule, the certificate
@@ -51,7 +59,9 @@ STEP_FLOOR = 1e-18
 ENERGY_TOL = 1e-12
 PLATEAU_WINDOW = 500  # steps in a row each lowering E by less than ENERGY_TOL
 # bound on step * spectral radius of the direction, so each orbit move
-# exp(-s A) stays well conditioned and roundoff cannot hop orbits
+# exp(-s A) stays well conditioned and roundoff cannot hop orbits; on a step
+# that can fall the step grows only by 1.1 towards it, since faster growth
+# lets roundoff carry more non-semisimple flows off their orbit
 MAX_LOG_STRETCH = 2.0
 
 __all__ = ["FlowOptions", "FlowTrace", "run_flow", "DegenerationCurve", "apply_curve"]
@@ -77,10 +87,14 @@ class FlowTrace:
     steps_taken: int
     converged: bool
     stop_reason: str                      # gradient | certificate | plateau | line_search_floor | left_orbit | max_steps
-    terminal_report: MomentReport
     lower_bound: float                    # running max of ||beta||^2 read by the certificate
     terminal_energy: float                # the last iterate's energy, or nu's on a witness stop
     witness: DegenerationCurve | None     # takes the last iterate, rotated into an eigenbasis of m, to nu
+
+    @cached_property
+    def terminal_report(self) -> MomentReport:
+        """moment.soliton_check of the terminal; worked out on first access, like terminal_type."""
+        return soliton_check(self.terminal)
 
     @cached_property
     def terminal_type(self) -> SolitonType | None:
@@ -112,6 +126,14 @@ def _energy_moment(t: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(np.vdot(m, m).real), m, n2
 
 
+def _support_keeps_m_diagonal(t: np.ndarray) -> bool:
+    """Every tensor with the support of t has a diagonal m: each product in an off-diagonal entry of m
+    has a zero factor, so the entry is an exact zero at every scaling and permutation of t."""
+    a = (t != 0).astype(float)
+    pattern = np.tensordot(a, a, axes=([0, 2], [0, 2])) + np.tensordot(a, a, axes=([0, 1], [0, 1]))
+    return np.count_nonzero(pattern) == np.count_nonzero(pattern.diagonal())
+
+
 def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
                 frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """t rotated into an eigenframe V of m, frame @ V, and the eigenvalues there of the direction A.
@@ -120,19 +142,28 @@ def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
     so the negative gradient is tangent to the orbit and the flow can be
     discretized by group elements exp(-s A), never leaving the orbit.  A
     shares m's eigenframe, in which it acts diagonally (see _weight_sums).
-
-    When m is exactly diagonal with a non-decreasing diagonal, the held
-    frame already is an ascending eigenframe (V = I, on which eigh agrees
-    bit for bit), so t and frame come back as they are, with no eigh and no
-    rotation.  Torus starts of sparse tensors stay in this case: their
-    weight spaces keep m diagonal at every step.
     """
-    diag = m.diagonal().real
-    # m's diagonal is real, so m is diagonal exactly when it has no other nonzero entry
-    if np.count_nonzero(m) == np.count_nonzero(diag) and (diag[:-1] <= diag[1:]).all():
-        return t, frame, 4.0 / n2 * (diag + e)
     evals, vecs = np.linalg.eigh(m)
     return _unitary_act_table(t, vecs.conj().T), frame @ vecs, 4.0 / n2 * (evals + e)
+
+
+def _sorted_frame(t: np.ndarray, e: float, m: np.ndarray, n2: float,
+                  frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eigenframe for an exactly diagonal m, with no eigh and no rotation.
+
+    V is the permutation p that sorts the diagonal (stably), applied by
+    indexing: the rates are eigh's bit for bit, and t and the frame agree
+    with eigh's up to the signs or phases of its columns (and the order of a
+    tied eigenspace's columns).  With a non-decreasing diagonal, V = I, on
+    which eigh agrees bit for bit, and t and frame come back as they are:
+    most frames of a torus start are sorted already, and the three index
+    copies cost more than the rest of the frame.
+    """
+    diag = m.diagonal().real
+    if (diag[:-1] <= diag[1:]).all():
+        return t, frame, 4.0 / n2 * (diag + e)
+    p = np.argsort(diag, kind="stable")
+    return t[p][:, p][:, :, p], frame[:, p], 4.0 / n2 * (diag[p] + e)
 
 
 def _weight_sums(evals: np.ndarray) -> np.ndarray:
@@ -206,10 +237,32 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     ||lam * t||.  An accepted step takes one eigh of the candidate's m, one
     rotation into the new frame and one n x n product onto the accumulated
     unitary frame, which takes the terminal (or nu) back to mu's basis once,
-    at the stop.  When the candidate's m is exactly diagonal with an
-    ascending diagonal (torus starts of sparse tensors), the step keeps the
-    held frame and skips all three: eigh returns exactly (diag m, I) there.  A
-    start with no imaginary part flows in float64.
+    at the stop.  When the support of mu keeps m diagonal (torus starts of
+    sparse tensors), so that m is exactly diagonal at every iterate, the
+    step skips all three and permutes t and the frame by the order of the
+    diagonal instead.  A start with no imaginary part flows in float64.
+
+    The step size starts at STEP0 and is capped by MAX_LOG_STRETCH.  After
+    an accepted step of size s from E to E' at gradient norm g, it is set by
+    whether the flow can fall, that is leave the orbit of mu by roundoff and
+    end below its stratum energy.  A step cannot fall when
+
+    - it is an exact move: the support of mu keeps m diagonal, decided once
+      at the start, so no eigh runs and each move multiplies each
+      coefficient by a positive factor.  Zeros stay exact zeros, so the
+      support, and with it L, is fixed up to permutation, and
+      E >= ||diag m||^2 >= L at every iterate; or
+    - the start lies in the lowest stratum: it is Jordan and semisimple (see
+      certificate below), so no energy lies below its stratum energy 1/n.
+      This is decided once, at the first accepted step of a flow without
+      exact moves, or the first that reaches the floor.
+
+    Such a step multiplies s by STEP_UP when E - E' > DECREASE_RATIO s g^2
+    and by STEP_DOWN otherwise.  On a quadratic of curvature h the ratio
+    (E - E')/(s g^2) is 1 - s h/2, which is at least 1/2 exactly when
+    s <= 1/h, so s stays near 1/h without oscillating.  Every other step
+    multiplies s by 1.1: faster growth there lets roundoff carry more
+    non-semisimple flows off their orbit.
     Convergence is reported through stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
@@ -242,7 +295,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       with E - 1/n <= ENERGY_TOL stops there, unless the plateau or the
       gradient stop fires on it.  Semisimplicity is Albert's criterion, a
       trace form of full rank (algebra.is_semisimple: one n x n SVD of
-      mu, run at that step).  A non-semisimple start keeps its old stop
+      mu, run once, as the step rule above asks).  A non-semisimple start keeps its old stop
       there: its stratum energy lies above the floor (as for all 90
       non-semisimple catalog entries), so it reached the floor by a fall;
     - plateau: PLATEAU_WINDOW steps in a row lowered E by less than
@@ -253,14 +306,16 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       has carried the iterate off the orbit of mu (up to the support cut);
     - max_steps: the step budget ran out.
 
-    converged is False for left_orbit and max_steps.  The terminal's exact
-    type, FlowTrace.terminal_type, is worked out only when it is read.
+    converged is False for left_orbit and max_steps.  The terminal's
+    soliton check and exact type, FlowTrace.terminal_report and
+    terminal_type, are worked out only when they are read.
     """
     if mu.is_zero():
         raise ValueError("cannot flow the zero tensor")
-    # the floor certifies only a Jordan start, and only when it is semisimple (decided at the first hit)
-    floor_open = is_jordan(mu)
-    if not floor_open:
+    # a Jordan semisimple start lies in the lowest stratum, of energy 1/n; None until the first step
+    # of a flow without exact moves, or the first floor hit, asks for is_semisimple
+    lowest = None if is_jordan(mu) else False
+    if lowest is False:
         warnings.warn(
             f"flow started from a non-Jordan tensor (defect {jordan_defect(mu):.3e}); "
             "the flow is defined but the terminal need not be a Jordan soliton",
@@ -269,8 +324,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     # a real start has a real symmetric m and orthogonal eigenframes, so it flows in real arithmetic
     t = (mu.table if np.any(mu.table.imag) else mu.table.real) / mu.norm
     e, m, n2 = _energy_moment(t)
+    # zeros of the support stay exact zeros along the flow, so m stays exactly diagonal when they force it
+    exact = _support_keeps_m_diagonal(t)
     # the iterate is held in the eigenframe of its direction; frame maps it back to mu's basis
-    t, frame, rates = _eigenframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
+    reframe = _sorted_frame if exact else _eigenframe
+    t, frame, rates = reframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
     lam = _weight_sums(rates)
     energies = [e]
     grad_norms = [_norm(lam * t)]
@@ -301,13 +359,18 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "line_search_floor"
             break
         plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
-        e = e2
-        t, frame, rates = _eigenframe(cand, e, m, n2, frame)
+        t, frame, rates = reframe(cand, e2, m, n2, frame)
         lam = _weight_sums(rates)
+        if lowest is None and not (exact and e2 - floor > ENERGY_TOL):
+            lowest = is_semisimple(mu)
+        if exact or lowest:   # a step that cannot fall
+            step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
+        else:
+            step *= 1.1
+        e = e2
         steps_taken += 1
         energies.append(e)
         grad_norms.append(_norm(lam * t))
-        step *= 1.1
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
             lower, stop_reason, witness = _read_certificate(t, e, lower, floor)
             if stop_reason is not None:
@@ -316,16 +379,13 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "plateau"
         elif grad_norms[-1] <= opts.grad_tol:
             stop_reason = "gradient"
-        elif floor_open and e - floor <= ENERGY_TOL:
-            floor_open = is_semisimple(mu)
-            if floor_open:
-                stop_reason = "certificate"
+        elif lowest and e - floor <= ENERGY_TOL:
+            stop_reason = "certificate"
     if e < lower - ENERGY_TOL:
         stop_reason = "left_orbit"
 
     converged = stop_reason not in ("left_orbit", "max_steps")
     terminal = StructureTensor(_unitary_act_table(t if witness is None else witness[0], frame))
-    report = soliton_check(terminal)
     return FlowTrace(
         energies=energies,
         grad_norms=grad_norms,
@@ -333,9 +393,8 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         steps_taken=steps_taken,
         converged=converged,
         stop_reason=stop_reason,
-        terminal_report=report,
         lower_bound=lower,
-        terminal_energy=e if witness is None else report.energy,
+        terminal_energy=e if witness is None else energy(terminal),
         witness=None if witness is None else witness[1],
     )
 

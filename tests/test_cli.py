@@ -191,6 +191,17 @@ def test_coefficients_at_the_scale_bound_give_scale_free_results(tmp_path, capsy
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("argv", [("flow",), ("stratify", "--flow")])
+def test_non_jordan_flow_warns_in_one_line(tmp_path, capsys, argv):
+    path = tmp_path / "mu.json"
+    path.write_text(dump_tensor(random_symmetric_tensor(np.random.default_rng(3), 3)))
+    for _ in range(2):   # once per call, not once per process
+        code, _, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 0
+        assert err.startswith("warning: flow started from a non-Jordan tensor (defect ")
+        assert err.count("\n") == 1 and "run_flow" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "invariants", "/nonexistent/mu.json")
     assert code == 2
@@ -211,7 +222,7 @@ def test_invariants_subcommand(capsys):
 
 
 def torus_start_file(tmp_path) -> str:
-    """A torus start of A_4_26: it takes 36 steps to the certificate."""
+    """A torus start of A_4_26: it takes 16 steps to the certificate."""
     start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
     path = tmp_path / "torus.json"
     path.write_text(dump_tensor(start))
@@ -222,11 +233,11 @@ def test_flow_subcommand_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path), "--trace", str(trace))
     assert code == 0
-    assert "steps            36" in out
+    assert "steps            16" in out
     assert "terminal energy  0.454545454545" in out
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,energy,grad_norm"
-    assert len(lines) == 36 + 2
+    assert len(lines) == 16 + 2
     energies = [float(line.split(",")[1]) for line in lines[1:]]
     assert energies == sorted(energies, reverse=True)
 

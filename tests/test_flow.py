@@ -8,7 +8,7 @@ from jordanflow import flow, weights
 from jordanflow.algebra import StructureTensor, act, derivation_algebra, direct_product, is_semisimple
 from jordanflow.catalog import builtin, heisenberg, match, names
 from jordanflow.flow import DegenerationCurve, FlowOptions, apply_curve, run_flow
-from jordanflow.moment import energy
+from jordanflow.moment import energy, soliton_check
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 from jordanflow.weights import min_norm_point, support_weights
 
@@ -225,6 +225,60 @@ def test_generic_semisimple_starts_stop_on_the_floor_certificate(rng):
         assert trace.terminal_energy - 1.0 / n <= tol
         assert all(e - 1.0 / n > tol for e in trace.energies[:-1])
         assert trace.terminal_type.beta == (Fraction(-1, n),) * n
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_steps_that_cannot_fall_follow_the_decrease_ratio_rule(seed):
+    # a torus start diag(e^u) . mu moves by exact scalings that keep m diagonal
+    # and the support fixed, and a generic start of a semisimple entry lies in
+    # the lowest stratum: neither can fall, so their step follows the energy
+    # drop instead of growing by 1.1 (at the parent: 2,043-2,059 torus steps
+    # and 219-221 generic steps over these seeds)
+    rng = np.random.default_rng(seed)
+    torus_steps = 0
+    for name in names():
+        entry = builtin(name)
+        if not entry.distinguished or entry.flags.semisimple:
+            continue
+        start = act(np.diag(np.exp(0.5 * rng.normal(size=entry.dim))), entry.tensor)
+        trace = run_flow(start)
+        assert trace.converged, name
+        assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-9), name
+        torus_steps += trace.steps_taken
+    assert torus_steps <= 1300
+    generic_steps = 0
+    for name in names():
+        entry = builtin(name)
+        if entry.flags.semisimple and entry.dim >= 2:
+            trace = run_flow(act(random_group_element(rng, entry.dim), entry.tensor))
+            assert trace.stop_reason == "certificate", name
+            generic_steps += trace.steps_taken
+    assert generic_steps <= 160
+
+
+def test_terminal_report_is_worked_out_only_when_read(monkeypatch, rng):
+    calls = []
+
+    def counting(mu, *args):
+        calls.append(mu)
+        return soliton_check(mu, *args)
+
+    monkeypatch.setattr(flow, "soliton_check", counting)
+    # a semisimple start stops at the floor, where no truncation is tried
+    trace = run_flow(act(random_group_element(rng, 3, cond_max=10), builtin("A_3_2").tensor))
+    assert trace.stop_reason == "certificate"
+    assert calls == []
+    report, expected = trace.terminal_report, soliton_check(trace.terminal)
+    assert len(calls) == 1 and calls[0] is trace.terminal
+    assert trace.terminal_report is report
+    assert np.array_equal(report.M, expected.M) and np.array_equal(report.m, expected.m)
+    assert (report.energy, report.c, report.soliton_residual, report.is_soliton) == (
+        expected.energy, expected.c, expected.soliton_residual, expected.is_soliton)
+    # a witness stop reads nu's energy directly
+    calls.clear()
+    trace = run_flow(builtin("A_4_63").tensor)
+    assert trace.witness is not None and len(calls) == 1   # the float check of the truncation
+    assert trace.terminal_energy == energy(trace.terminal) == trace.terminal_report.energy
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-12])

@@ -45,8 +45,9 @@ from jordanflow.algebra import (
     _unitary_act_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import (ARMIJO, MAX_LOG_STRETCH, STEP0, STEP_FLOOR, FlowOptions, run_flow, _eigenframe,
-                             _energy_moment, _norm, _weight_sums)
+from jordanflow.flow import (ARMIJO, DECREASE_RATIO, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR, STEP_UP,
+                             FlowOptions, run_flow, _energy_moment, _norm, _sorted_frame,
+                             _support_keeps_m_diagonal, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -192,21 +193,23 @@ def test_soliton_table_matches_the_moment_map_formulas(n, seed):
         _soliton_table(np.zeros((n, n, n), dtype=complex))
 
 
+def energy_direction(x):
+    """E, the direction A = (4/||x||^2) (m + E I) and the gradient norm ||A . x|| with the einsum kernels."""
+    n2 = float(np.sum(np.abs(x) ** 2))
+    m = ref_moment(x) / n2
+    e = float(np.sum(np.abs(m) ** 2))
+    direction = 4.0 / n2 * (m + e * np.eye(x.shape[0]))
+    return e, direction, norm(ref_inf_act(direction, x))
+
+
 def einsum_flow_step(t, step):
     """One accepted step of the flow with the einsum kernels and the eigendecomposition per candidate.
 
     Returns the unit-norm step, its energy and the step size accepted.
     """
 
-    def energy_direction(x):
-        n2 = float(np.sum(np.abs(x) ** 2))
-        m = ref_moment(x) / n2
-        e = float(np.sum(np.abs(m) ** 2))
-        return e, 4.0 / n2 * (m + e * np.eye(x.shape[0]))
-
     t = t / np.linalg.norm(t)
-    e, direction = energy_direction(t)
-    gn = norm(ref_inf_act(direction, t))
+    e, direction, gn = energy_direction(t)
     step = min(step, MAX_LOG_STRETCH / float(np.max(np.abs(np.linalg.eigvalsh(direction)))))
     while step > STEP_FLOOR:
         evals, vecs = np.linalg.eigh(direction)
@@ -215,7 +218,7 @@ def einsum_flow_step(t, step):
         cand = ref_act(t, h, g)
         cand = 0.5 * (cand + np.swapaxes(cand, 0, 1))
         cand = cand / np.linalg.norm(cand)
-        e2, _ = energy_direction(cand)
+        e2 = energy_direction(cand)[0]
         if e2 <= e - ARMIJO * step * gn * gn:
             return cand, e2, step
         step *= 0.5
@@ -235,24 +238,40 @@ def test_one_flow_step_matches_einsum_step(name, n):
 
 @KERNEL_CASES
 @given(n=dims, seed=seeds, real=st.booleans(), k=st.integers(min_value=1, max_value=4),
-       name=st.none() | catalog_names, tie=st.booleans())
-@example(n=4, seed=1, real=True, k=4, name="A_4_2", tie=False)    # unsorted diagonal of m at the start
-@example(n=4, seed=1, real=False, k=4, name="A_4_2", tie=True)    # tied diagonal entries of m
-@example(n=3, seed=1, real=True, k=4, name="A_3_1", tie=True)
+       name=st.none() | catalog_names, tie=st.booleans(), generic=st.booleans())
+@example(n=4, seed=1, real=True, k=4, name="A_4_2", tie=False, generic=False)   # unsorted diagonal of m
+@example(n=4, seed=1, real=False, k=4, name="A_4_2", tie=True, generic=False)   # tied diagonal entries of m
+@example(n=3, seed=1, real=True, k=4, name="A_3_1", tie=True, generic=False)
+@example(n=3, seed=1, real=True, k=4, name="A_3_17", tie=False, generic=True)   # non-semisimple, can fall
+@example(n=4, seed=2, real=False, k=4, name="A_4_26", tie=False, generic=True)
+@example(n=4, seed=2, real=True, k=4, name="A_4_16", tie=False, generic=False)   # m never diagonal
+@example(n=4, seed=0, real=True, k=4, name="A_4_53", tie=False, generic=False)   # diagonal by cancellation
 @pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
-def test_flow_matches_einsum_steps(n, seed, real, k, name, tie):
-    """k steps of the eigenframe loop against k einsum steps, under the 1.1 step growth, from real and
-    complex starts; the einsum step acts by exp(-s A) in the start's basis.  With a catalog name the
-    start is a torus start diag(e^u) . mu, whose m stays exactly diagonal, so the loop keeps its frame
-    on the steps where m's diagonal is ascending; a complex one is its copy times e^{0.7 i}."""
+def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
+    """k steps of the eigenframe loop against k einsum steps, from real and complex starts; the einsum
+    step acts by exp(-s A) in the start's basis.  With a catalog name the start is a torus start
+    diag(e^u) . mu; a complex one is its copy times e^{0.7 i}.  Where the support of mu keeps m
+    diagonal every step is an exact move, and a torus start of a semisimple entry lies in the lowest
+    stratum: neither can fall, so the step follows the decrease-ratio rule.  Torus starts of the other
+    entries (the trig families and A_4_53), random symmetric starts (not Jordan) and generic starts
+    g . mu of non-semisimple entries can fall, so their step grows by 1.1."""
+    rng = np.random.default_rng(seed)
     if name is None:
-        start = random_symmetric_tensor(np.random.default_rng(seed), n)
+        start = random_symmetric_tensor(rng, n)
+        if real:
+            start = StructureTensor(start.table.real)
+    elif generic:
+        mu = builtin(name).tensor
+        assume(mu.dim > 1 and not builtin(name).flags.semisimple)
+        start = act(random_group_element(rng, mu.dim, cond_max=10), mu)
         if real:
             start = StructureTensor(start.table.real)
     else:
         start = torus_start(name, seed, tie)
         if not real:
             start = start.scaled(np.exp(0.7j))
+    exact = name is not None and not generic and (
+        _support_keeps_m_diagonal(start.table) or builtin(name).flags.semisimple)
     trace = run_flow(start, FlowOptions(max_steps=k))
     if start.dim == 1 or trace.stop_reason == "gradient":
         # every tensor of dimension 1 is critical at E = 1/n, and so is a torus start that only rescales mu
@@ -263,9 +282,13 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie):
     assert trace.stop_reason == "max_steps" and trace.steps_taken == k
     t, step = start.table, STEP0
     for i in range(1, k + 1):
-        t, e, step = einsum_flow_step(t, step)
-        assert trace.energies[i] == pytest.approx(e, rel=REL)
-        step *= 1.1
+        e, _, gn = energy_direction(t / np.linalg.norm(t))
+        t, e2, step = einsum_flow_step(t, step)
+        assert trace.energies[i] == pytest.approx(e2, rel=REL)
+        if exact:
+            step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
+        else:
+            step *= 1.1
     assert norm(trace.terminal.table - t) <= REL
 
 
@@ -274,9 +297,11 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie):
 @example(name="A_3_1", seed=1, real=True, tie=True, ascending=True)
 @example(name="A_4_2", seed=1, real=False, tie=True, ascending=True)
 def test_eigenframe_matches_the_eigh_path_bit_for_bit_on_a_diagonal_m(name, seed, real, tie, ascending):
-    """On an exactly diagonal m the frame update is that of eigh, bit for bit: with an ascending
-    diagonal, ties included, the held frame is kept (eigh returns V = I there); with a descending one,
-    eigh's permutation is applied."""
+    """On an exactly diagonal m, _sorted_frame applies the stable sorting permutation exactly, with no
+    eigh.  With an ascending diagonal, ties included, it keeps t and the frame, which is eigh's update
+    bit for bit (eigh returns V = I there).  With an unsorted one, the rates are eigh's bit for bit, and t and the frame agree
+    with eigh's up to the signs or phases of its columns (and up to the order of a tied eigenspace's
+    columns)."""
     rng = np.random.default_rng(seed)
     start = torus_start(name, seed, tie)
     t = start.table.real / start.norm if real else start.table * np.exp(0.7j) / start.norm
@@ -290,13 +315,42 @@ def test_eigenframe_matches_the_eigh_path_bit_for_bit_on_a_diagonal_m(name, seed
     assume(np.all(diag[:-1] <= diag[1:]) if ascending else np.any(diag[:-1] > diag[1:]))
     n = start.dim
     frame = np.linalg.qr(rng.normal(size=(n, n)) if real else complex_matrix(rng, n))[0]
-    kept, kept_frame, rates = _eigenframe(t, e, m, n2, frame)
+    kept, kept_frame, rates = _sorted_frame(t, e, m, n2, frame)
     evals, vecs = np.linalg.eigh(m)
-    assert np.array_equal(kept, _unitary_act_table(t, vecs.conj().T))
     assert np.array_equal(rates, 4.0 / n2 * (evals + e))
-    assert np.array_equal(kept_frame, frame @ vecs)
+    p = np.argsort(diag, kind="stable")
+    assert np.array_equal(kept, t[np.ix_(p, p, p)])
+    assert np.array_equal(kept_frame, frame[:, p])
+    assert np.array_equal(rates, 4.0 / n2 * (diag[p] + e))
     if ascending:
         assert kept is t and kept_frame is frame
+        assert np.array_equal(kept, _unitary_act_table(t, vecs.conj().T))
+        assert np.array_equal(kept_frame, frame @ vecs)
+    elif len(set(diag)) == n:
+        assert np.array_equal(np.abs(kept), np.abs(_unitary_act_table(t, vecs.conj().T)))
+        assert np.array_equal(np.abs(kept_frame), np.abs(frame @ vecs))
+    else:   # eigh may order the columns of a tied eigenspace otherwise: compare the eigenspaces
+        for rate in set(rates):
+            a, b = kept_frame[:, rates == rate], (frame @ vecs)[:, rates == rate]
+            assert norm(a @ a.conj().T - b @ b.conj().T) <= REL
+
+
+@KERNEL_CASES
+@given(name=catalog_names, seed=seeds)
+def test_a_support_that_keeps_m_diagonal_keeps_it_exactly_under_scalings_and_permutations(name, seed):
+    """Where the support forces the off-diagonal entries of m to vanish, they are exact zeros after any
+    positive scaling of the coefficients and any basis permutation; the trig families and A_4_53, whose
+    m is diagonal in the catalog basis only by cancellation or not at all, are the entries without it."""
+    rng = np.random.default_rng(seed)
+    t = torus_start(name, seed).table
+    keeps = _support_keeps_m_diagonal(t)
+    assert keeps == (name not in ("A_4_16", "A_4_17", "A_4_25", "A_4_53"))
+    p = rng.permutation(t.shape[0])
+    t = (t * np.exp(rng.normal(size=t.shape)))[np.ix_(p, p, p)]
+    assert _support_keeps_m_diagonal(t) == keeps
+    if keeps:
+        m = _energy_moment(t)[1]
+        assert np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
 @KERNEL_CASES

@@ -197,6 +197,27 @@ def test_soliton_type_examples():
     assert t.energy == Fraction(1, 2)
 
 
+def verdicts(mu: StructureTensor) -> tuple:
+    """The soliton verdict, beta of a soliton, and every verdict that `jordan-flow invariants` prints."""
+    report = soliton_check(mu)
+    dims = algebra.power_dims(mu)
+    rad = algebra.radical(mu)
+    return (report.is_soliton, soliton_type(mu).beta if report.is_soliton else None,
+            rad.dim, algebra.derivation_algebra(mu)[0], algebra.annihilator(mu).dim, dims, dims[-1] == 0,
+            rad.dim == 0, algebra.is_associative(mu), algebra.has_unit(mu))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(names()), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       k=st.integers(min_value=-40, max_value=40))
+def test_soliton_and_invariant_verdicts_are_scale_free(name, seed, k):
+    # the soliton residual is read on the unit-norm tensor and the rank
+    # decisions cut relative to ||mu||, so no verdict moves with the scale
+    entry = builtin(name)
+    image = act(random_unitary(np.random.default_rng(seed), entry.dim), entry.tensor)
+    assert verdicts(image.scaled(10.0**k)) == verdicts(image)
+
+
 def test_soliton_type_rejects_non_soliton():
     with pytest.raises(ValueError):
         soliton_type(builtin("A_4_63").tensor)
