@@ -18,8 +18,12 @@ Jordan start lies in the lowest stratum, of energy 1/n, so it stops as
 soon as E reaches the floor.
 The upper side may also be a soliton in the orbit closure: the truncation
 of the rotated iterate to Wolfe's active weights, reached by an integer
-one-parameter subgroup that is checked exactly.  A flow whose energy
-falls below its lower bound has left its orbit and is reported as such.
+one-parameter subgroup that is checked exactly.  When instead every support
+weight is active, the torus moment map meets beta once on the positive
+torus orbit of the rotated iterate (Atiyah), and one diagonal move, solved
+in closed form, lands there: a soliton at energy L ends the flow one step
+later.  A flow whose energy falls below its lower bound has left its orbit
+and is reported as such.
 
 The lower bound and Wolfe's face depend on the support mask alone, so they
 are read from weights.support_face, the process-wide memo that the labels
@@ -43,7 +47,7 @@ from .algebra import (StructureTensor, act, is_jordan, is_semisimple, jordan_def
                       _unitary_act_table)
 from .moment import MomentReport, SolitonType, energy, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
-from .weights import support_face
+from .weights import Face, support_face
 
 ARMIJO = 1e-4
 # on a step that cannot fall (see run_flow), the step grows by STEP_UP when the energy drop is more
@@ -81,10 +85,10 @@ class FlowOptions:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    energies: list[float]
-    grad_norms: list[float]
+    energies: list[float]                 # one per iterate: the start, then each accepted step or balancing move
+    grad_norms: list[float]               # at the same iterates
     terminal: StructureTensor
-    steps_taken: int
+    steps_taken: int                      # accepted steps, a balancing move included
     converged: bool
     stop_reason: str                      # gradient | certificate | plateau | line_search_floor | left_orbit | max_steps
     lower_bound: float                    # running max of ||beta||^2 read by the certificate
@@ -184,22 +188,50 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(a.dot(a))
 
 
-def _read_certificate(rotated: np.ndarray, e: float, lower: float,
-                      floor: float) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve] | None]:
+def _balance(rotated: np.ndarray, face: Face) -> np.ndarray:
+    """rotated moved by the positive diagonal that carries its mass onto Wolfe's coefficients, at unit norm.
+
+    In a frame where m is diagonal, diag m = sum_a (p_a / ||t||^2) alpha_a,
+    p_a the mass |t|^2 on the coefficients of support weight alpha_a.  The
+    torus moment map meets each point of the relative interior of the
+    weights' hull once on the positive torus orbit (Atiyah), so when every
+    support weight is active, diag(e^u) with p_a e^{2 <u, alpha_a>}
+    proportional to Wolfe's coefficient w_a puts diag m at beta.  u comes
+    from face.balancer in closed form; every coefficient, sub-cut ones
+    included, is scaled by e^{u_k - u_i - u_j}, so the result is an orbit
+    point of rotated, moved as a flow step moves it.
+    """
+    mass = np.bincount(face.slots.ravel() + 1, weights=(rotated * rotated.conj()).real.ravel(),
+                       minlength=len(face.result.coefficients) + 1)[1:]
+    u = (face.balancer @ (np.log(face.result.coefficients) - np.log(mass)))[:-1]
+    moved = rotated * np.exp(-_weight_sums(u))
+    return moved / _norm(moved)
+
+
+def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
+                      can_move: bool) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve | None] | None]:
     """One read of the lower bound at the iterate rotated of energy e, held in an eigenframe of its m.
 
     Returns the new running max of L, a stop reason (left_orbit,
-    certificate) or None, and on a certificate by truncation the pair
-    (unit-norm nu in that frame, witness curve).  The truncation
-    nu is tested in floats first; the exact witness is worked out, once per
-    support mask, only for a nu that is a soliton at energy L.
+    certificate) or None, and on a certificate by a move the pair (unit-norm
+    end point in that frame, witness curve or None).  Both moves are tried
+    only above the floor, where every weight lies on
+    <alpha, beta> = ||beta||^2 and nothing can certify, and they exclude
+    each other:
+
+    - truncation, when Wolfe's active set is smaller than the support: nu
+      keeps the coefficients of the active weights.  It is tested in floats
+      first; the exact witness curve is worked out, once per support mask,
+      only for a nu that is a soliton at energy L;
+    - balancing, when every support weight is active and can_move (a step
+      is left in the budget): _balance moves rotated onto the torus orbit
+      point whose diagonal of m is beta.  It is accepted, as one more step
+      of the flow with no curve, when it is a soliton at energy L.  Affinely
+      dependent weights need not balance in one move, and then fail this.
 
     The bound and the face are weights.support_face of rotated, whose
     support is cut at SUPPORT_TOL of the largest coefficient, so L bounds
     the stratum energy of rotated with its sub-cut coefficients dropped.
-    At the floor every weight lies on <alpha, beta> = ||beta||^2 and
-    nothing can certify, so the face is tried only above it, and only when
-    Wolfe's active set is smaller than the support.
     """
     face = support_face(rotated)
     lower = max(lower, face.bound)
@@ -209,11 +241,17 @@ def _read_certificate(rotated: np.ndarray, e: float, lower: float,
         return lower, None, None
     if abs(e - lower) <= ENERGY_TOL:
         return lower, "certificate", None
-    if face.bound > floor + ENERGY_TOL and len(face.active) < len(face.result.coefficients):
+    if face.bound <= floor + ENERGY_TOL:
+        return lower, None, None
+    if len(face.active) < len(face.result.coefficients):
         nu = StructureTensor(np.where(face.keep, rotated, 0.0))
         report = soliton_check(nu)
         if abs(report.energy - lower) <= ENERGY_TOL and report.is_soliton and face.exponents is not None:
             return lower, "certificate", (nu.table / nu.norm, DegenerationCurve(tuple(-x for x in face.exponents)))
+    elif can_move:
+        moved = _balance(rotated, face)
+        if abs(_energy_moment(moved)[0] - lower) <= ENERGY_TOL and soliton_check(StructureTensor(moved)).is_soliton:
+            return lower, "certificate", (moved, None)
     return lower, None, None
 
 
@@ -273,9 +311,19 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       the start, after each step whose count is a power of two and on each
       plateau step whose count is a power of two, and memoized per support
       mask for the whole process.  On the orbit of mu, L <= stratum energy,
-      up to that cut.  The upper side is either E itself (|E - L| within
-      the tolerance) or a soliton nu in the orbit closure with |E(nu) - L|
-      within it; then nu is the terminal and FlowTrace.witness holds the
+      up to that cut.  The upper side is E itself (|E - L| within the
+      tolerance), an orbit point that a balancing move reaches, or a soliton
+      nu in the orbit closure with |E(nu) - L| within it.  The balancing
+      move is tried at a read where every support weight is active in
+      Wolfe's face and a step is left in the budget (steps_taken <
+      max_steps): the positive diagonal that makes the mass on each weight
+      proportional to its barycentric coefficient puts diag m at beta
+      (flow._balance).  The moved iterate, when it is a soliton with
+      |E - L| within the tolerance, is taken as one more accepted step and
+      ends the flow, with no witness; otherwise the flow goes on as if no
+      move was tried.  Most torus starts of non-semisimple entries balance
+      at step 0; those whose weights are affinely dependent do not.  On a
+      witness stop, nu is the terminal and FlowTrace.witness holds the
       degeneration.  nu is the truncation of the rotated iterate to the
       coefficients whose weights Wolfe keeps with positive weight (the
       minimal face that contains beta); it certifies only when an integer
@@ -336,9 +384,9 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     plateau = 0
     floor = 1.0 / mu.dim  # E >= 1/n for every tensor, since tr m = -1
     steps_taken = 0
-    lower, stop_reason, witness = _read_certificate(t, e, -math.inf, floor)
+    lower, stop_reason, move = _read_certificate(t, e, -math.inf, floor, opts.max_steps > 0)
     if grad_norms[0] <= opts.grad_tol:
-        stop_reason, witness = "gradient", None
+        stop_reason, move = "gradient", None
     while stop_reason is None:
         if steps_taken >= opts.max_steps:
             stop_reason = "max_steps"
@@ -372,7 +420,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         energies.append(e)
         grad_norms.append(_norm(lam * t))
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
-            lower, stop_reason, witness = _read_certificate(t, e, lower, floor)
+            lower, stop_reason, move = _read_certificate(t, e, lower, floor, steps_taken < opts.max_steps)
             if stop_reason is not None:
                 break
         if plateau >= PLATEAU_WINDOW:
@@ -381,11 +429,18 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "gradient"
         elif lowest and e - floor <= ENERGY_TOL:
             stop_reason = "certificate"
+    if move is not None and move[1] is None:   # a balancing move, taken as one more accepted step
+        e, m, n2 = _energy_moment(move[0])
+        t, frame, rates = reframe(move[0], e, m, n2, frame)
+        steps_taken += 1
+        energies.append(e)
+        grad_norms.append(_norm(_weight_sums(rates) * t))
+        move = None
     if e < lower - ENERGY_TOL:
         stop_reason = "left_orbit"
 
     converged = stop_reason not in ("left_orbit", "max_steps")
-    terminal = StructureTensor(_unitary_act_table(t if witness is None else witness[0], frame))
+    terminal = StructureTensor(_unitary_act_table(t if move is None else move[0], frame))
     return FlowTrace(
         energies=energies,
         grad_norms=grad_norms,
@@ -394,8 +449,8 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
         converged=converged,
         stop_reason=stop_reason,
         lower_bound=lower,
-        terminal_energy=e if witness is None else energy(terminal),
-        witness=None if witness is None else witness[1],
+        terminal_energy=e if move is None else energy(terminal),
+        witness=None if move is None else move[1],
     )
 
 

@@ -43,8 +43,9 @@ SNAP_DISTANCE = 1e-4
 IMPROVE_TOL = 1e-14   # Wolfe stops once no vertex improves ||x||^2 by more than this
 MAX_MAJOR = 1000      # Wolfe's major-cycle budget
 # support masks whose Faces are kept for the whole process.  A benchmark run
-# (seed 0) meets 124 masks in the first `flows` round, 169 by the third and
-# 268 by the twelfth, when the cache evicts; `classify` meets 77, 112 and 218
+# (seed 0) meets 93 masks in the first `flows` round, 142 by the third and
+# 216 by the twelfth, so the cache does not evict there; `classify` meets 77,
+# 112 and 218
 MASK_MEMO_SIZE = 256
 
 
@@ -334,11 +335,12 @@ def _unpack(mask: bytes, n: int) -> list[WeightVector]:
 class Face:
     """Wolfe's solve over the weights of one support mask, and what it decides.
 
-    The flow reads bound and, above the floor, keep (the coefficients of the
-    active weights) and exponents (their witness); the labels read label.
-    A Face is built from the mask, n and Wolfe's result alone: the weights
-    are rebuilt from the mask when beta, keep or exponents is first worked
-    out, and every derived value is kept once known.
+    The flow reads bound and, above the floor, either keep (the coefficients
+    of the active weights) and exponents (their witness), or, when every
+    weight is active, slots and balancer (the torus move onto beta); the
+    labels read label.  A Face is built from the mask, n and Wolfe's result
+    alone: the weights are rebuilt from the mask when a derived value is
+    first worked out, and every derived value is kept once known.
     """
 
     mask: bytes
@@ -361,13 +363,31 @@ class Face:
         return exact_min_norm_point([w.diagonal for w in _unpack(self.mask, self.n)], self.active)
 
     @cached_property
+    def slots(self) -> np.ndarray:
+        """(n, n, n) array of the index of each supported coefficient's weight, -1 off the support."""
+        slots = np.full((self.n,) * 3, -1)
+        for idx, weight in enumerate(_unpack(self.mask, self.n)):
+            for i, j, k in weight.triples:
+                slots[i - 1, j - 1, k - 1] = slots[j - 1, i - 1, k - 1] = idx
+        return slots
+
+    @cached_property
     def keep(self) -> np.ndarray:
         """The (n, n, n) coefficient mask of the active weights."""
-        weights = _unpack(self.mask, self.n)
-        keep = np.zeros((self.n,) * 3, dtype=bool)
-        for i, j, k in (slot for idx in self.active for slot in weights[idx].triples):
-            keep[i - 1, j - 1, k - 1] = keep[j - 1, i - 1, k - 1] = True
-        return keep
+        return np.isin(self.slots, self.active)
+
+    @cached_property
+    def balancer(self) -> np.ndarray:
+        """Pseudo-inverse of [2A | 1], A the support weights as rows.
+
+        diag(e^u) scales a coefficient of weight alpha by e^{<u, alpha>}, and
+        so the mass p_a on the coefficients of weight alpha_a by
+        e^{2 <u, alpha_a>}.  (u, c) = balancer @ (log w - log p) solves
+        2 <u, alpha_a> + c = log w_a - log p_a, exactly when the weights are
+        affinely independent, and in least squares otherwise.
+        """
+        weights = np.array([w.diagonal for w in _unpack(self.mask, self.n)], dtype=float)
+        return np.linalg.pinv(np.hstack([2.0 * weights, np.ones((len(weights), 1))]))
 
     @cached_property
     def exponents(self) -> tuple[int, ...] | None:

@@ -54,6 +54,25 @@ def test_higher_is_better_turns_the_rule_around():
         "gain_shown": False, "within_bound": False}
 
 
+def test_fewer_than_ten_pairs_never_show_a_gain():
+    # three of three pairs clear the 9-in-10 share, but a claim needs ten pairs
+    change = [p - 6.0 for p in PARENT]
+    assert judge(PARENT[:3], change[:3], 0.1) == {"gain_shown": False, "within_bound": True}
+    assert not judge(PARENT[:9], change[:9], 0.1)["gain_shown"]
+    assert judge(PARENT + [41.0], change + [35.0], 0.1)["gain_shown"]
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_bound_unresolved():
+    # q3 - q1 = 0.0825 s against a median of 0.2 s: more than the 25 % bound allows, so no verdict
+    parent = [0.158, 0.262, 0.160, 0.250, 0.170, 0.262, 0.158, 0.230, 0.200, 0.200]
+    verdict = judge(parent, [p * 1.5 for p in parent], 0.25)
+    assert verdict["within_bound"] is None and not verdict["gain_shown"]
+    assert judge(parent, [p * 0.5 for p in parent], 0.25)["within_bound"] is None
+    # the same median with a tight spread is resolved
+    tight = [0.199, 0.201, 0.200, 0.199, 0.201, 0.200, 0.199, 0.201, 0.200, 0.200]
+    assert judge(tight, [p * 1.5 for p in tight], 0.25)["within_bound"] is False
+
+
 def test_unpaired_runs_are_refused():
     with pytest.raises(ValueError):
         judge(PARENT, PARENT[:9], 0.1)

@@ -221,9 +221,10 @@ def test_invariants_subcommand(capsys):
     assert "is_nilpotent     True" in out
 
 
-def torus_start_file(tmp_path) -> str:
-    """A torus start of A_4_26: it takes 16 steps to the certificate."""
-    start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin("A_4_26").tensor)
+def torus_start_file(tmp_path, name="A_4_26") -> str:
+    """A torus start of a catalog entry.  A_4_26's Wolfe face covers its support, so its flow balances
+    onto the certificate in one step; A_4_16's weights are affinely dependent, so its flow cannot."""
+    start = act(np.diag([1.3, 0.8, 1.1, 0.6]).astype(complex), builtin(name).tensor)
     path = tmp_path / "torus.json"
     path.write_text(dump_tensor(start))
     return str(path)
@@ -233,11 +234,11 @@ def test_flow_subcommand_with_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path), "--trace", str(trace))
     assert code == 0
-    assert "steps            16" in out
+    assert "steps            1\n" in out
     assert "terminal energy  0.454545454545" in out
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,energy,grad_norm"
-    assert len(lines) == 16 + 2
+    assert len(lines) == 1 + 2
     energies = [float(line.split(",")[1]) for line in lines[1:]]
     assert energies == sorted(energies, reverse=True)
 
@@ -268,7 +269,7 @@ def test_flow_reports_its_certificate(tmp_path, capsys):
 
 
 def test_flow_nonconvergence_is_compute_error(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path), "--max-steps", "3")
+    code, out, _ = run_cli(capsys, "flow", torus_start_file(tmp_path, "A_4_16"), "--max-steps", "3")
     assert code == 1
     assert "steps            3" in out
     assert "converged        False (max_steps)" in out
@@ -298,12 +299,12 @@ def test_bad_tolerances_are_usage_errors(tmp_path, capsys, command, tol):
 
 
 def test_flow_that_leaves_its_orbit_is_compute_error(tmp_path, capsys):
-    # criterion 3's start 29 (A_3_18, stratum energy 3) reads L = 3, then
-    # roundoff carries it below: it stops after 32 steps at E = 0.336
+    # criterion 3's start 48 (A_4_68, stratum energy 5/2) reads L = 5/2, then
+    # roundoff carries it below: it stops after 32 steps at E = 2.184
     from conftest import criterion_3_starts
 
-    entry, start = next(itertools.islice(criterion_3_starts(), 29, None))
-    assert entry.name == "A_3_18"
+    entry, start = next(itertools.islice(criterion_3_starts(), 48, None))
+    assert entry.name == "A_4_68"
     path = tmp_path / "fall.json"
     path.write_text(dump_tensor(start))
     code, out, _ = run_cli(capsys, "flow", str(path), "--json")
@@ -312,7 +313,7 @@ def test_flow_that_leaves_its_orbit_is_compute_error(tmp_path, capsys):
     assert payload["stop_reason"] == "left_orbit"
     assert payload["converged"] is False
     assert payload["terminal_energy"] < payload["lower_bound"] - 1e-12
-    assert payload["lower_bound"] == pytest.approx(3.0, abs=1e-12)
+    assert payload["lower_bound"] == pytest.approx(2.5, abs=1e-12)
     with pytest.raises(RuntimeError, match="left_orbit"):
         stratum_of(start)
 

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jordanflow import flow, weights
 from jordanflow.algebra import StructureTensor, act, derivation_algebra, direct_product, is_semisimple
@@ -167,12 +169,112 @@ def test_no_witness_no_certificate_for_a_4_63(monkeypatch, fresh_memo):
     assert not trace.converged
 
 
+def covers_its_support(entry) -> bool:
+    """Above the floor, and every support weight of the entry is active in Wolfe's face."""
+    face = weights.support_face(entry.tensor.table)
+    return not entry.flags.semisimple and len(face.active) == len(face.result.coefficients)
+
+
+COVERING = [name for name in names() if covers_its_support(builtin(name))]
+
+
+def torus_spread(entry, u) -> float:
+    """max - min of <u, alpha> over the support weights: zero when diag(e^u) only rescales mu."""
+    return float(np.ptp([np.dot(u, w.diagonal) for w in weights.support_weights(entry.tensor)]))
+
+
+def assert_balanced(entry, u, phase=0.0):
+    """The flow from the torus start e^{i phase} diag(e^u) . mu of a covering entry ends on its soliton.
+
+    Where diag(e^u) only rescales mu (always, for a single support weight),
+    the start is critical.  Every other start balances at step 0, so the
+    terminal is a positive diagonal times the start, up to scale: the same
+    support, and log-ratios that fit <u', alpha> + c on the coefficients'
+    weights.
+    """
+    start = act(np.diag(np.exp(u)), entry.tensor).scaled(np.exp(1j * phase))
+    trace = run_flow(start)
+    if torus_spread(entry, u) == 0.0:
+        assert (trace.stop_reason, trace.steps_taken) == ("gradient", 0), entry.name
+    else:
+        assert (trace.stop_reason, trace.steps_taken) == ("certificate", 1), entry.name
+        assert trace.witness is None
+        assert len(trace.energies) == len(trace.grad_norms) == 2
+    assert trace.terminal_energy == pytest.approx(float(entry.expected_energy), abs=1e-12)
+    assert trace.terminal_report.soliton_residual <= 1e-12
+    assert trace.terminal_type.beta == entry.expected_beta
+    support = weights.support_mask(start.table)
+    assert np.array_equal(weights.support_mask(trace.terminal.table), support)
+    ratio = trace.terminal.table[support] / start.table[support]
+    assert np.all(np.abs(ratio.imag) <= 1e-12 * np.abs(ratio)) and np.all(ratio.real > 0)
+    i, j, k = np.nonzero(support)
+    alpha = -np.eye(entry.dim)[i] - np.eye(entry.dim)[j] + np.eye(entry.dim)[k]
+    rows = np.hstack([alpha, np.ones((len(alpha), 1))])
+    logs = np.log(ratio.real)
+    fit = np.linalg.lstsq(rows, logs, rcond=None)[0]
+    assert np.max(np.abs(rows @ fit - logs)) <= 1e-9
+
+
+def test_every_entry_whose_face_covers_its_support_balances_in_one_move(rng):
+    # 24 of the 84 have a single support weight, so their torus starts are
+    # critical; the trig families, A_4_53, A_4_61 and A_4_63 are not among
+    # them: Wolfe's face is smaller than their support
+    assert len(COVERING) == 84
+    assert sum(len(weights.support_weights(builtin(name).tensor)) == 1 for name in COVERING) == 24
+    for name in COVERING:
+        entry = builtin(name)
+        assert_balanced(entry, 0.5 * rng.normal(size=entry.dim))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(COVERING), u=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       phase=st.floats(0.0, 6.0))
+def test_torus_starts_of_covering_entries_balance_in_one_move(name, u, phase):
+    entry = builtin(name)
+    u = np.array(u[:entry.dim])
+    # a start within 1e-6 of a rescaling of mu is critical to grad_tol, or nearly so
+    assume(torus_spread(entry, u) == 0.0 or torus_spread(entry, u) > 1e-6)
+    assert_balanced(entry, u, phase)
+
+
+def test_no_balancing_move_without_a_step_left():
+    for name in ("A_4_26", "A_3_7"):
+        start = act(np.diag([1.3, 0.8, 1.1, 0.6][:builtin(name).dim]), builtin(name).tensor)
+        trace = run_flow(start, FlowOptions(max_steps=0))
+        assert (trace.stop_reason, trace.steps_taken, len(trace.energies)) == ("max_steps", 0, 1)
+        assert np.allclose(trace.terminal.table, start.table / start.norm, atol=1e-15)
+        trace = run_flow(start, FlowOptions(max_steps=1))
+        assert (trace.stop_reason, trace.steps_taken) == ("certificate", 1)
+
+
+def test_a_balanced_point_that_is_not_a_soliton_leaves_the_flow_as_it_was(monkeypatch):
+    # the reference never moves: its move lands where the iterate already was, whose E is off L
+    start = act(np.diag([1.3, 0.8, 1.1, 0.6]), builtin("A_4_26").tensor)
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "_balance", lambda rotated, face: rotated)
+        unmoved = run_flow(start)
+    rejected = []
+
+    def reject(mu, *args):
+        rejected.append(mu)
+        return dataclasses.replace(soliton_check(mu, *args), is_soliton=False)
+
+    monkeypatch.setattr(flow, "soliton_check", reject)
+    trace = run_flow(start)
+    assert rejected   # the move met L, and only the soliton check turned it down
+    assert unmoved.steps_taken > 1
+    for field in ("energies", "grad_norms", "steps_taken", "stop_reason", "lower_bound", "terminal_energy",
+                  "witness"):
+        assert getattr(trace, field) == getattr(unmoved, field), field
+    assert trace.terminal.table.tobytes() == unmoved.terminal.table.tobytes()
+
+
 def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
     # acceptance criterion 3's generic starts: roundoff carries many of these
     # flows off their orbit, down to the floor 1/n, where every tensor's
     # bound lies; above the floor a certificate pins the table energy, and at
     # the floor only a semisimple start certifies, whose table energy is 1/n.
-    # The ten that end below their own lower bound report it.  The counts are
+    # The nine that end below their own lower bound report it.  The counts are
     # roundoff-level figures of the step loop; the number below the table may
     # only fall
     from conftest import criterion_3_starts
@@ -199,9 +301,9 @@ def test_certificate_never_stops_a_flow_below_its_orbits_stratum_energy():
             left += 1
             assert not trace.converged
             assert trace.terminal_type is None
-    assert above == 30
+    assert above == 31
     assert at_floor == 22
-    assert left == 10
+    assert left == 9
     assert below <= 85
 
 

@@ -45,7 +45,7 @@ from jordanflow.algebra import (
     _unitary_act_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import (ARMIJO, DECREASE_RATIO, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR, STEP_UP,
+from jordanflow.flow import (ARMIJO, DECREASE_RATIO, ENERGY_TOL, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR, STEP_UP,
                              FlowOptions, run_flow, _energy_moment, _norm, _sorted_frame,
                              _support_keeps_m_diagonal, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
@@ -246,6 +246,8 @@ def test_one_flow_step_matches_einsum_step(name, n):
 @example(n=4, seed=2, real=False, k=4, name="A_4_26", tie=False, generic=True)
 @example(n=4, seed=2, real=True, k=4, name="A_4_16", tie=False, generic=False)   # m never diagonal
 @example(n=4, seed=0, real=True, k=4, name="A_4_53", tie=False, generic=False)   # diagonal by cancellation
+# exact moves that cannot balance (affinely dependent weights), with an unsorted diagonal at steps 0 and 2
+@example(n=4, seed=0, real=True, k=4, name="A_4_61", tie=False, generic=False)
 @pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
 def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
     """k steps of the eigenframe loop against k einsum steps, from real and complex starts; the einsum
@@ -254,7 +256,9 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
     diagonal every step is an exact move, and a torus start of a semisimple entry lies in the lowest
     stratum: neither can fall, so the step follows the decrease-ratio rule.  Torus starts of the other
     entries (the trig families and A_4_53), random symmetric starts (not Jordan) and generic starts
-    g . mu of non-semisimple entries can fall, so their step grows by 1.1."""
+    g . mu of non-semisimple entries can fall, so their step grows by 1.1.  A start whose Wolfe face
+    covers its support at step 0 (most torus starts of non-semisimple entries, and a few generic
+    starts) balances onto its soliton in one move there, and has no steps to compare."""
     rng = np.random.default_rng(seed)
     if name is None:
         start = random_symmetric_tensor(rng, n)
@@ -278,6 +282,11 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
         assert name is not None or start.dim == 1
         assert trace.stop_reason == "gradient" and trace.steps_taken == 0
         assert norm(trace.terminal.table - start.table / start.norm) <= REL
+        return
+    if trace.stop_reason == "certificate":
+        assert trace.steps_taken == 1 and trace.witness is None
+        assert abs(trace.energies[1] - trace.lower_bound) <= ENERGY_TOL
+        assert trace.terminal_report.soliton_residual <= 1e-12
         return
     assert trace.stop_reason == "max_steps" and trace.steps_taken == k
     t, step = start.table, STEP0

@@ -11,10 +11,11 @@ to pair.  For each end-to-end metric the record holds every run, each
 side's median and quartiles, the change's relative difference in the
 median, and the pairs in which the change was better (ties count for
 neither).  Each metric is also judged by the acceptance rule (`judge`):
-`gain_shown` when the change is better in at least 9 of 10 pairs and its
-median beats the parent's by more than the parent's q3 - q1, and
-`within_bound` when its median is no worse than the parent's by more than
-the metric's bound in BENCHMARK.json.  It also makes one traced run per
+`gain_shown` when there are at least ten pairs, the change is better in at
+least 9 of 10 of them and its median beats the parent's by more than the
+parent's q3 - q1, and `within_bound` when its median is no worse than the
+parent's by more than the metric's bound in BENCHMARK.json (null, that is
+unresolved, when the parent's q3 - q1 alone is wider than that bound).  It also makes one traced run per
 side and workload and keeps the per-layer counts, which come from set-up
 and the first round only.  The machine the runs were made on is recorded
 too.
@@ -36,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = (("tables", 0, 10), ("flows", 0, 10), ("classify", 0, 10), ("flows", 1, 3))   # name, seed, pairs
 GAIN_PAIR_SHARE = 0.9   # a claimed gain must show in at least 9 of 10 pairs
+GAIN_MIN_PAIRS = 10     # and no fewer pairs can show one
 
 
 def _git(*args: str) -> str:
@@ -63,20 +65,25 @@ def _quartiles(values: list[float]) -> dict:
 def judge(parent: list[float], change: list[float], bound: float | None, better: str = "lower") -> dict:
     """The acceptance rule on one metric's paired runs (parent[i] and change[i] are pair i).
 
-    gain_shown: the change is better in at least GAIN_PAIR_SHARE of the pairs
-    (ties count for neither), and its median is better than the parent's by
-    more than the parent's q3 - q1.  within_bound: the change's median is worse
-    than the parent's by at most the relative bound (None when there is no bound).
+    gain_shown: there are at least GAIN_MIN_PAIRS pairs, the change is better
+    in at least GAIN_PAIR_SHARE of them (ties count for neither), and its
+    median is better than the parent's by more than the parent's q3 - q1.
+    within_bound: the change's median is worse than the parent's by at most
+    the relative bound; None (unresolved) when there is no bound, or when the
+    parent's own q3 - q1 is wider than the bound allows.
     """
     if len(parent) != len(change) or len(parent) < 2:
         raise ValueError("judge needs at least two pairs of runs")
     sign = 1.0 if better == "lower" else -1.0   # sign * (parent - change) > 0 when the change is better
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     base = _quartiles(parent)
+    spread = base["q3"] - base["q1"]
     gain = sign * (base["median"] - statistics.median(change))
+    resolved = bound is not None and spread <= bound * base["median"]
     return {
-        "gain_shown": wins >= math.ceil(GAIN_PAIR_SHARE * len(parent)) and gain > base["q3"] - base["q1"],
-        "within_bound": None if bound is None else -gain <= bound * base["median"],
+        "gain_shown": (len(parent) >= GAIN_MIN_PAIRS and wins >= math.ceil(GAIN_PAIR_SHARE * len(parent))
+                       and gain > spread),
+        "within_bound": -gain <= bound * base["median"] if resolved else None,
     }
 
 
