@@ -45,8 +45,8 @@ from jordanflow.algebra import (
     _unitary_act_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import (ARMIJO, DECREASE_RATIO, ENERGY_TOL, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR, STEP_UP,
-                             FlowOptions, run_flow, _energy_moment, _norm, _sorted_frame,
+from jordanflow.flow import (ARMIJO, DECREASE_RATIO, ENERGY_TOL, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR,
+                             STEP_UP, FlowOptions, run_flow, _energy_moment, _norm, _sorted_frame,
                              _support_keeps_m_diagonal, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary

@@ -15,10 +15,10 @@ neither).  Each metric is also judged by the acceptance rule (`judge`):
 least 9 of 10 of them and its median beats the parent's by more than the
 parent's q3 - q1, and `within_bound` when its median is no worse than the
 parent's by more than the metric's bound in BENCHMARK.json (null, that is
-unresolved, when the parent's q3 - q1 alone is wider than that bound).  It also makes one traced run per
-side and workload and keeps the per-layer counts, which come from set-up
-and the first round only.  The machine the runs were made on is recorded
-too.
+unresolved, when the parent's q3 - q1 alone is wider than that bound).  It
+also makes one traced run per side and workload and keeps the per-layer
+counts, which come from set-up and the first round only.  The machine the
+runs were made on is recorded too.
 """
 
 from __future__ import annotations
