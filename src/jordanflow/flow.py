@@ -27,10 +27,9 @@ and is reported as such.
 
 The lower bound and Wolfe's face depend on the support mask alone, so they
 are read from weights.support_face, the process-wide memo that the labels
-share.  Where the start's support keeps m diagonal, every frame is a
-permutation of the held one and no eigh runs.  Steps that cannot fall
-(moves of such a start, and starts in the lowest stratum) size themselves
-by the energy drop; the others keep a slow fixed growth.
+share.  Every frame is an eigenframe of m, taken by one eigh per accepted
+step.  Steps of a start in the lowest stratum cannot fall and size
+themselves by the energy drop; the others keep a slow fixed growth.
 """
 
 from __future__ import annotations
@@ -130,14 +129,6 @@ def _energy_moment(t: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(np.vdot(m, m).real), m, n2
 
 
-def _support_keeps_m_diagonal(t: np.ndarray) -> bool:
-    """Every tensor with the support of t has a diagonal m: each product in an off-diagonal entry of m
-    has a zero factor, so the entry is an exact zero at every scaling and permutation of t."""
-    a = (t != 0).astype(float)
-    pattern = np.tensordot(a, a, axes=([0, 2], [0, 2])) + np.tensordot(a, a, axes=([0, 1], [0, 1]))
-    return np.count_nonzero(pattern) == np.count_nonzero(pattern.diagonal())
-
-
 def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
                 frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """t rotated into an eigenframe V of m, frame @ V, and the eigenvalues there of the direction A.
@@ -149,25 +140,6 @@ def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
     """
     evals, vecs = np.linalg.eigh(m)
     return _unitary_act_table(t, vecs.conj().T), frame @ vecs, 4.0 / n2 * (evals + e)
-
-
-def _sorted_frame(t: np.ndarray, e: float, m: np.ndarray, n2: float,
-                  frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_eigenframe for an exactly diagonal m, with no eigh and no rotation.
-
-    V is the permutation p that sorts the diagonal (stably), applied by
-    indexing: the rates are eigh's bit for bit, and t and the frame agree
-    with eigh's up to the signs or phases of its columns (and the order of a
-    tied eigenspace's columns).  With a non-decreasing diagonal, V = I, on
-    which eigh agrees bit for bit, and t and frame come back as they are:
-    most frames of a torus start are sorted already, and the three index
-    copies cost more than the rest of the frame.
-    """
-    diag = m.diagonal().real
-    if (diag[:-1] <= diag[1:]).all():
-        return t, frame, 4.0 / n2 * (diag + e)
-    p = np.argsort(diag, kind="stable")
-    return t[p][:, p][:, :, p], frame[:, p], 4.0 / n2 * (diag[p] + e)
 
 
 def _weight_sums(evals: np.ndarray) -> np.ndarray:
@@ -275,32 +247,21 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     ||lam * t||.  An accepted step takes one eigh of the candidate's m, one
     rotation into the new frame and one n x n product onto the accumulated
     unitary frame, which takes the terminal (or nu) back to mu's basis once,
-    at the stop.  When the support of mu keeps m diagonal (torus starts of
-    sparse tensors), so that m is exactly diagonal at every iterate, the
-    step skips all three and permutes t and the frame by the order of the
-    diagonal instead.  A start with no imaginary part flows in float64.
+    at the stop.  A start with no imaginary part flows in float64.
 
     The step size starts at STEP0 and is capped by MAX_LOG_STRETCH.  After
     an accepted step of size s from E to E' at gradient norm g, it is set by
     whether the flow can fall, that is leave the orbit of mu by roundoff and
-    end below its stratum energy.  A step cannot fall when
-
-    - it is an exact move: the support of mu keeps m diagonal, decided once
-      at the start, so no eigh runs and each move multiplies each
-      coefficient by a positive factor.  Zeros stay exact zeros, so the
-      support, and with it L, is fixed up to permutation, and
-      E >= ||diag m||^2 >= L at every iterate; or
-    - the start lies in the lowest stratum: it is Jordan and semisimple (see
-      certificate below), so no energy lies below its stratum energy 1/n.
-      This is decided once, at the first accepted step of a flow without
-      exact moves, or the first that reaches the floor.
-
-    Such a step multiplies s by STEP_UP when E - E' > DECREASE_RATIO s g^2
-    and by STEP_DOWN otherwise.  On a quadratic of curvature h the ratio
-    (E - E')/(s g^2) is 1 - s h/2, which is at least 1/2 exactly when
-    s <= 1/h, so s stays near 1/h without oscillating.  Every other step
-    multiplies s by 1.1: faster growth there lets roundoff carry more
-    non-semisimple flows off their orbit.
+    end below its stratum energy.  A step cannot fall when the start lies in
+    the lowest stratum: it is Jordan and semisimple (see certificate below),
+    so no energy lies below its stratum energy 1/n.  Semisimplicity is
+    first asked at the first accepted step and kept on mu, so a flow that
+    ends at step 0 never asks.  Such a step multiplies s by STEP_UP when
+    E - E' > DECREASE_RATIO s g^2 and by STEP_DOWN otherwise.  On a
+    quadratic of curvature h the ratio (E - E')/(s g^2) is 1 - s h/2, which
+    is at least 1/2 exactly when s <= 1/h, so s stays near 1/h without
+    oscillating.  Every other step multiplies s by 1.1: faster growth there
+    lets roundoff carry more non-semisimple flows off their orbit.
     Convergence is reported through stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
@@ -343,8 +304,9 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       with E - 1/n <= ENERGY_TOL stops there, unless the plateau or the
       gradient stop fires on it.  Semisimplicity is Albert's criterion, a
       trace form of full rank (algebra.is_semisimple: one n x n SVD of
-      mu, run once, as the step rule above asks).  A non-semisimple start keeps its old stop
-      there: its stratum energy lies above the floor (as for all 90
+      mu, run at most once per flow, as the step rule above asks).  A
+      non-semisimple start keeps its old stop there: its stratum energy
+      lies above the floor (as for all 90
       non-semisimple catalog entries), so it reached the floor by a fall;
     - plateau: PLATEAU_WINDOW steps in a row lowered E by less than
       ENERGY_TOL;
@@ -360,10 +322,8 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     """
     if mu.is_zero():
         raise ValueError("cannot flow the zero tensor")
-    # a Jordan semisimple start lies in the lowest stratum, of energy 1/n; None until the first step
-    # of a flow without exact moves, or the first floor hit, asks for is_semisimple
-    lowest = None if is_jordan(mu) else False
-    if lowest is False:
+    jordan = is_jordan(mu)
+    if not jordan:
         warnings.warn(
             f"flow started from a non-Jordan tensor (defect {jordan_defect(mu):.3e}); "
             "the flow is defined but the terminal need not be a Jordan soliton",
@@ -372,11 +332,8 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     # a real start has a real symmetric m and orthogonal eigenframes, so it flows in real arithmetic
     t = (mu.table if np.any(mu.table.imag) else mu.table.real) / mu.norm
     e, m, n2 = _energy_moment(t)
-    # zeros of the support stay exact zeros along the flow, so m stays exactly diagonal when they force it
-    exact = _support_keeps_m_diagonal(t)
     # the iterate is held in the eigenframe of its direction; frame maps it back to mu's basis
-    reframe = _sorted_frame if exact else _eigenframe
-    t, frame, rates = reframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
+    t, frame, rates = _eigenframe(t, e, m, n2, np.eye(mu.dim, dtype=t.dtype))
     lam = _weight_sums(rates)
     energies = [e]
     grad_norms = [_norm(lam * t)]
@@ -407,11 +364,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "line_search_floor"
             break
         plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
-        t, frame, rates = reframe(cand, e2, m, n2, frame)
+        t, frame, rates = _eigenframe(cand, e2, m, n2, frame)
         lam = _weight_sums(rates)
-        if lowest is None and not (exact and e2 - floor > ENERGY_TOL):
-            lowest = is_semisimple(mu)
-        if exact or lowest:   # a step that cannot fall
+        # a Jordan semisimple start lies in the lowest stratum, of energy 1/n
+        lowest = jordan and is_semisimple(mu)
+        if lowest:   # a step that cannot fall
             step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
         else:
             step *= 1.1
@@ -431,7 +388,7 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
             stop_reason = "certificate"
     if move is not None and move[1] is None:   # a balancing move, taken as one more accepted step
         e, m, n2 = _energy_moment(move[0])
-        t, frame, rates = reframe(move[0], e, m, n2, frame)
+        t, frame, rates = _eigenframe(move[0], e, m, n2, frame)
         steps_taken += 1
         energies.append(e)
         grad_norms.append(_norm(_weight_sums(rates) * t))

@@ -331,11 +331,13 @@ def test_generic_semisimple_starts_stop_on_the_floor_certificate(rng):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_steps_that_cannot_fall_follow_the_decrease_ratio_rule(seed):
-    # a torus start diag(e^u) . mu moves by exact scalings that keep m diagonal
-    # and the support fixed, and a generic start of a semisimple entry lies in
-    # the lowest stratum: neither can fall, so their step follows the energy
-    # drop instead of growing by 1.1 (at the parent: 2,043-2,059 torus steps
-    # and 219-221 generic steps over these seeds)
+    # a generic start of a semisimple entry lies in the lowest stratum: it
+    # cannot fall, so its step follows the energy drop instead of growing by
+    # 1.1.  Torus starts diag(e^u) . mu of the other distinguished entries lie
+    # above it, so their step grows by 1.1; most end by one balancing move at
+    # step 0, and the A_4_61 start, whose weights are affinely dependent,
+    # takes about 29 steps (over these seeds: 228-231 torus steps and 120-126
+    # generic steps a seed)
     rng = np.random.default_rng(seed)
     torus_steps = 0
     for name in names():

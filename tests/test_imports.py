@@ -1,8 +1,10 @@
 """Import rules of the package, checked on its source and in cold CLI processes.
 
 Private (_-prefixed) names cross module lines only out of algebra, whose
-table kernels they are; every other shared helper is public.  No function
-imports a jordanflow module, so no import cycle hides behind a local import.
+table kernels they are; every other shared helper is public, and every
+private top-level function or class is used somewhere in the package.  No
+function imports a jordanflow module, so no import cycle hides behind a
+local import.
 No CLI path loads numpy.random: the library's one draw uses the standard
 library's generator.
 """
@@ -65,6 +67,24 @@ def test_no_function_imports_a_jordanflow_module():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and _source(node) is not None
     ]
     assert local == []
+
+
+def test_every_private_top_level_definition_is_used_in_the_package():
+    # a private helper whose last caller is gone is dead code, whatever the tests still call
+    defined = {
+        (module, node.name)
+        for module, tree in _modules()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and _is_private(node.name)
+    }
+    referenced = {
+        name
+        for _, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        for name in [node.id if isinstance(node, ast.Name) else node.attr]
+    }
+    assert sorted(f"{module}.{name}" for module, name in defined if name not in referenced) == []
 
 
 # runs the CLI as `python -m jordanflow.cli ...` would, then reports on stderr

@@ -2,8 +2,7 @@
 
 The einsum forms below are the reference: the same sums written index by
 index.  The kernels reorder the sums, so they agree to roundoff, checked
-at 1e-12 relative to the size of the operands.  The flow's diagonal-frame
-path is checked bit for bit against the eigh path it skips.  The rank kernels are
+at 1e-12 relative to the size of the operands.  The rank kernels are
 checked against the column-by-column operator matrices, the full-SVD rank
 cut and the vector-by-vector power chain.
 """
@@ -42,12 +41,10 @@ from jordanflow.algebra import (
     _operator_split,
     _rank_split,
     _soliton_table,
-    _unitary_act_table,
 )
 from jordanflow.catalog import builtin, names
 from jordanflow.flow import (ARMIJO, DECREASE_RATIO, ENERGY_TOL, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR,
-                             STEP_UP, FlowOptions, run_flow, _energy_moment, _norm, _sorted_frame,
-                             _support_keeps_m_diagonal, _weight_sums)
+                             STEP_UP, FlowOptions, run_flow, _norm, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
 from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
 
@@ -246,17 +243,16 @@ def test_one_flow_step_matches_einsum_step(name, n):
 @example(n=4, seed=2, real=False, k=4, name="A_4_26", tie=False, generic=True)
 @example(n=4, seed=2, real=True, k=4, name="A_4_16", tie=False, generic=False)   # m never diagonal
 @example(n=4, seed=0, real=True, k=4, name="A_4_53", tie=False, generic=False)   # diagonal by cancellation
-# exact moves that cannot balance (affinely dependent weights), with an unsorted diagonal at steps 0 and 2
+# a torus start of a non-semisimple entry that cannot balance (affinely dependent weights): steps grow by 1.1
 @example(n=4, seed=0, real=True, k=4, name="A_4_61", tie=False, generic=False)
 @pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
 def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
     """k steps of the eigenframe loop against k einsum steps, from real and complex starts; the einsum
     step acts by exp(-s A) in the start's basis.  With a catalog name the start is a torus start
-    diag(e^u) . mu; a complex one is its copy times e^{0.7 i}.  Where the support of mu keeps m
-    diagonal every step is an exact move, and a torus start of a semisimple entry lies in the lowest
-    stratum: neither can fall, so the step follows the decrease-ratio rule.  Torus starts of the other
-    entries (the trig families and A_4_53), random symmetric starts (not Jordan) and generic starts
-    g . mu of non-semisimple entries can fall, so their step grows by 1.1.  A start whose Wolfe face
+    diag(e^u) . mu; a complex one is its copy times e^{0.7 i}.  A torus start of a semisimple entry
+    lies in the lowest stratum and cannot fall, so the step follows the decrease-ratio rule.  Torus
+    starts of the other entries, random symmetric starts (not Jordan) and generic starts g . mu of
+    non-semisimple entries can fall, so their step grows by 1.1.  A start whose Wolfe face
     covers its support at step 0 (most torus starts of non-semisimple entries, and a few generic
     starts) balances onto its soliton in one move there, and has no steps to compare."""
     rng = np.random.default_rng(seed)
@@ -274,8 +270,7 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
         start = torus_start(name, seed, tie)
         if not real:
             start = start.scaled(np.exp(0.7j))
-    exact = name is not None and not generic and (
-        _support_keeps_m_diagonal(start.table) or builtin(name).flags.semisimple)
+    lowest = name is not None and not generic and builtin(name).flags.semisimple
     trace = run_flow(start, FlowOptions(max_steps=k))
     if start.dim == 1 or trace.stop_reason == "gradient":
         # every tensor of dimension 1 is critical at E = 1/n, and so is a torus start that only rescales mu
@@ -294,72 +289,11 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
         e, _, gn = energy_direction(t / np.linalg.norm(t))
         t, e2, step = einsum_flow_step(t, step)
         assert trace.energies[i] == pytest.approx(e2, rel=REL)
-        if exact:
+        if lowest:
             step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
         else:
             step *= 1.1
     assert norm(trace.terminal.table - t) <= REL
-
-
-@KERNEL_CASES
-@given(name=catalog_names, seed=seeds, real=st.booleans(), tie=st.booleans(), ascending=st.booleans())
-@example(name="A_3_1", seed=1, real=True, tie=True, ascending=True)
-@example(name="A_4_2", seed=1, real=False, tie=True, ascending=True)
-def test_eigenframe_matches_the_eigh_path_bit_for_bit_on_a_diagonal_m(name, seed, real, tie, ascending):
-    """On an exactly diagonal m, _sorted_frame applies the stable sorting permutation exactly, with no
-    eigh.  With an ascending diagonal, ties included, it keeps t and the frame, which is eigh's update
-    bit for bit (eigh returns V = I there).  With an unsorted one, the rates are eigh's bit for bit, and t and the frame agree
-    with eigh's up to the signs or phases of its columns (and up to the order of a tied eigenspace's
-    columns)."""
-    rng = np.random.default_rng(seed)
-    start = torus_start(name, seed, tie)
-    t = start.table.real / start.norm if real else start.table * np.exp(0.7j) / start.norm
-    order = np.argsort(_energy_moment(t)[1].diagonal().real, kind="stable")
-    if not ascending:
-        order = order[::-1]
-    t = t[np.ix_(order, order, order)]   # a basis permutation that sorts m's diagonal
-    e, m, n2 = _energy_moment(t)
-    diag = m.diagonal().real
-    assume(np.count_nonzero(m) == np.count_nonzero(diag))
-    assume(np.all(diag[:-1] <= diag[1:]) if ascending else np.any(diag[:-1] > diag[1:]))
-    n = start.dim
-    frame = np.linalg.qr(rng.normal(size=(n, n)) if real else complex_matrix(rng, n))[0]
-    kept, kept_frame, rates = _sorted_frame(t, e, m, n2, frame)
-    evals, vecs = np.linalg.eigh(m)
-    assert np.array_equal(rates, 4.0 / n2 * (evals + e))
-    p = np.argsort(diag, kind="stable")
-    assert np.array_equal(kept, t[np.ix_(p, p, p)])
-    assert np.array_equal(kept_frame, frame[:, p])
-    assert np.array_equal(rates, 4.0 / n2 * (diag[p] + e))
-    if ascending:
-        assert kept is t and kept_frame is frame
-        assert np.array_equal(kept, _unitary_act_table(t, vecs.conj().T))
-        assert np.array_equal(kept_frame, frame @ vecs)
-    elif len(set(diag)) == n:
-        assert np.array_equal(np.abs(kept), np.abs(_unitary_act_table(t, vecs.conj().T)))
-        assert np.array_equal(np.abs(kept_frame), np.abs(frame @ vecs))
-    else:   # eigh may order the columns of a tied eigenspace otherwise: compare the eigenspaces
-        for rate in set(rates):
-            a, b = kept_frame[:, rates == rate], (frame @ vecs)[:, rates == rate]
-            assert norm(a @ a.conj().T - b @ b.conj().T) <= REL
-
-
-@KERNEL_CASES
-@given(name=catalog_names, seed=seeds)
-def test_a_support_that_keeps_m_diagonal_keeps_it_exactly_under_scalings_and_permutations(name, seed):
-    """Where the support forces the off-diagonal entries of m to vanish, they are exact zeros after any
-    positive scaling of the coefficients and any basis permutation; the trig families and A_4_53, whose
-    m is diagonal in the catalog basis only by cancellation or not at all, are the entries without it."""
-    rng = np.random.default_rng(seed)
-    t = torus_start(name, seed).table
-    keeps = _support_keeps_m_diagonal(t)
-    assert keeps == (name not in ("A_4_16", "A_4_17", "A_4_25", "A_4_53"))
-    p = rng.permutation(t.shape[0])
-    t = (t * np.exp(rng.normal(size=t.shape)))[np.ix_(p, p, p)]
-    assert _support_keeps_m_diagonal(t) == keeps
-    if keeps:
-        m = _energy_moment(t)[1]
-        assert np.count_nonzero(m) == np.count_nonzero(m.diagonal())
 
 
 @KERNEL_CASES
