@@ -7,6 +7,10 @@ gradient is tangent to the orbit, each step is realized by a group element,
 so the discrete trajectory inherits the defining property of the exact
 flow: it stays in the orbit of its start and converges to a soliton in the
 orbit closure, whose moment spectrum labels the stratum of the start.
+A Jordan semisimple start lies in the lowest stratum, whose soliton is the
+minimal vector of its closed orbit (Kempf-Ness), so it takes Newton steps
+for log ||exp(X) . t||^2 instead, as in the second-order moment-map methods
+of Buergisser, Franks, Garg, Oliveira, Walter and Wigderson (FOCS 2019).
 
 On the orbit the energy is squeezed by the stratum energy (Kirwan-Ness):
 ||beta_{k.x}||^2 <= ||beta_stratum||^2 <= E(x) for every unitary frame k,
@@ -27,9 +31,10 @@ and is reported as such.
 
 The lower bound and Wolfe's face depend on the support mask alone, so they
 are read from weights.support_face, the process-wide memo that the labels
-share.  Every frame is an eigenframe of m, taken by one eigh per accepted
-step.  Steps of a start in the lowest stratum cannot fall and size
-themselves by the energy drop; the others keep a slow fixed growth.
+share.  Every frame of a gradient step is an eigenframe of m, taken by one
+eigh per accepted step, and every frame of a Newton step an eigenframe of
+its direction.  Steps of a start in the lowest stratum cannot fall: each
+starts at the Newton step; the others keep a slow fixed growth.
 """
 
 from __future__ import annotations
@@ -42,20 +47,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import (StructureTensor, act, is_jordan, is_semisimple, jordan_defect, _moment_table,
+from .algebra import (StructureTensor, act, is_jordan, is_semisimple, jordan_defect, _inf_act_table, _moment_table,
                       _unitary_act_table)
-from .moment import MomentReport, SolitonType, energy, energy_gradient, soliton_check, soliton_type
+from .moment import SOLITON_TOL, MomentReport, SolitonType, energy, energy_gradient, soliton_check, soliton_type
 from .snap import RationalSnapError
 from .weights import Face, support_face
 
 ARMIJO = 1e-4
-# on a step that cannot fall (see run_flow), the step grows by STEP_UP when the energy drop is more
-# than DECREASE_RATIO * s * g^2 and shrinks by STEP_DOWN otherwise; on a quadratic of curvature h the
-# drop is (1 - s h / 2) s g^2, so the rule holds s near 1 / h
-DECREASE_RATIO = 0.5
-STEP_UP = 1.5
-STEP_DOWN = 0.8
 STEP0 = 1e-2          # first trial step size
+# G's kernel, the Hermitian derivations of t, is lifted by this share of G's mean eigenvalue, so
+# the Newton solve is never singular; exp(s N) fixes t for N in the kernel, so the lift moves t nowhere
+NEWTON_RIDGE = 1e-12
 STEP_FLOOR = 1e-18
 # resolution of every energy comparison: the plateau rule, the certificate
 # |E - L| and the fall E < L
@@ -129,6 +131,15 @@ def _energy_moment(t: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(np.vdot(m, m).real), m, n2
 
 
+def _is_soliton(t: np.ndarray, e: float, m: np.ndarray, n2: float) -> bool:
+    """moment.soliton_check's verdict on the table t of energy e, moment map m and squared norm n2.
+
+    Its residual ||D . t|| / ||t||^3, with D = ||t||^2 (m + E I), is
+    ||(m + E I) . t|| / ||t||.
+    """
+    return _norm(_inf_act_table(m + e * np.eye(m.shape[0]), t)) <= SOLITON_TOL * math.sqrt(n2)
+
+
 def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
                 frame: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """t rotated into an eigenframe V of m, frame @ V, and the eigenvalues there of the direction A.
@@ -140,6 +151,61 @@ def _eigenframe(t: np.ndarray, e: float, m: np.ndarray, n2: float,
     """
     evals, vecs = np.linalg.eigh(m)
     return _unitary_act_table(t, vecs.conj().T), frame @ vecs, 4.0 / n2 * (evals + e)
+
+
+def _gram(t: np.ndarray) -> np.ndarray:
+    """G[(a, b), (c, d)] = <E_ab . t, E_cd . t> over the matrix units, averaged to act on Hermitian X.
+
+    With (E_ab . t)[i, j, k] = d_ka t[i, j, b] - d_ib t[a, j, k] - d_jb t[i, a, k]
+    (algebra._operator_matrix), G = d_ac S_bd + 2 d_bd R_ac + 2 Q_adbc -
+    2 P_dbca - 2 P_acbd, where S_bd = sum conj t_ijb t_ijd, R_ac = sum
+    conj t_ajk t_cjk, Q_pqrs = sum_k conj t_pqk t_rsk and P_pqrs = sum_j
+    conj t_pjq t_rjs: four matmuls of t's reshapes.  A Hermitian X has
+    x^H G x = ||X . t||^2, and so has the average of G with its image under
+    x -> transpose(conj x), which maps Hermitian X to Hermitian X; that
+    average is returned, as an (n^2, n^2) matrix.
+    """
+    n = t.shape[0]
+    cols = t.reshape(n * n, n)                      # cols[(i, j), k] = t[i, j, k]
+    rows = t.reshape(n, n * n)                      # rows[a, (j, k)] = t[a, j, k]
+    mid = t.transpose(0, 2, 1).reshape(n * n, n)    # mid[(p, q), j] = t[p, j, q]
+    eye = np.eye(n)
+    s = cols.conj().T @ cols
+    r = rows.conj() @ rows.T
+    q = (cols.conj() @ cols.T).reshape((n,) * 4)
+    cross = (mid.conj() @ mid.T).reshape((n,) * 4).transpose(0, 2, 1, 3)   # cross[a, b, c, d] = P_acbd
+    g = (eye[:, None, :, None] * s[None, :, None, :] + 2 * r[:, None, :, None] * eye[None, :, None, :]
+         + 2 * (q.transpose(0, 2, 3, 1) - cross - cross.transpose(2, 3, 0, 1).conj()))
+    return (0.5 * (g + g.transpose(1, 0, 3, 2).conj())).reshape(n * n, n * n)
+
+
+def _gradient_gram(t: np.ndarray, e: float, m: np.ndarray, n2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_gram(t), a = vec(A) for the gradient direction A = (4/||t||^2) (m + E I), and G a.
+
+    ||grad E|| = ||A . t|| = sqrt(a^H G a), and along exp(-s D) the energy
+    falls at the rate Re <A . t, D . t> = Re a^H G d.
+    """
+    gram = _gram(t)
+    a = ((4.0 / n2) * (m + e * np.eye(m.shape[0]))).ravel()
+    return gram, a, gram @ a
+
+
+def _newton_direction(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """The Hermitian direction D of a lowest-stratum flow's Newton step exp(-s D), from its moment map m and _gram.
+
+    Kempf-Ness: the closed orbit's minimal vector minimizes the geodesically
+    convex log ||exp(X) . t||^2, of slope 2 tr(X m) and Hessian 4 ||X . t||^2
+    at a unit t.  Newton's X is the traceless Hermitian minimizer of
+    2 tr(X m) + 2 x^H G x, solved with the trace as a bordered (n^2 + 1)
+    system, and D = -X.  G's kernel is lifted by NEWTON_RIDGE.
+    """
+    n = m.shape[0]
+    k = n * n
+    bordered = np.zeros((k + 1, k + 1), dtype=gram.dtype)
+    bordered[:k, :k] = gram + NEWTON_RIDGE * np.trace(gram).real / k * np.eye(k)
+    bordered[:k, k] = bordered[k, :k] = np.eye(n).ravel()
+    d = np.linalg.solve(bordered, np.append(0.5 * m.ravel(), 0.0))[:k].reshape(n, n)
+    return 0.5 * (d + d.conj().T)
 
 
 def _weight_sums(evals: np.ndarray) -> np.ndarray:
@@ -181,15 +247,19 @@ def _balance(rotated: np.ndarray, face: Face) -> np.ndarray:
 
 
 def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
-                      can_move: bool) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve | None] | None]:
+                      can_move: bool) -> tuple[float, str | None, tuple[np.ndarray, DegenerationCurve | None,
+                                                                     tuple[float, np.ndarray, float] | None] | None]:
     """One read of the lower bound at the iterate rotated of energy e, held in an eigenframe of its m.
 
+    (A Newton step holds it in its direction's eigenframe instead; on the
+    orbit of a lowest-stratum start L <= 1/n, so no move is tried there.)
     Returns the new running max of L, a stop reason (left_orbit,
-    certificate) or None, and on a certificate by a move the pair (unit-norm
-    end point in that frame, witness curve or None).  Both moves are tried
-    only above the floor, where every weight lies on
-    <alpha, beta> = ||beta||^2 and nothing can certify, and they exclude
-    each other:
+    certificate) or None, and on a certificate by a move the triple
+    (unit-norm end point in that frame, witness curve or None, the end
+    point's _energy_moment or None).  Both moves are tried only above the
+    floor, where every weight lies on <alpha, beta> = ||beta||^2 and nothing
+    can certify, and they exclude each other.  Each is checked on its raw
+    table, by _energy_moment and the residual of _is_soliton:
 
     - truncation, when Wolfe's active set is smaller than the support: nu
       keeps the coefficients of the active weights.  It is tested in floats
@@ -198,8 +268,9 @@ def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
     - balancing, when every support weight is active and can_move (a step
       is left in the budget): _balance moves rotated onto the torus orbit
       point whose diagonal of m is beta.  It is accepted, as one more step
-      of the flow with no curve, when it is a soliton at energy L.  Affinely
-      dependent weights need not balance in one move, and then fail this.
+      of the flow with no curve, when it is a soliton at energy L; the flow
+      reuses its _energy_moment.  Affinely dependent weights need not
+      balance in one move, and then fail this.
 
     The bound and the face are weights.support_face of rotated, whose
     support is cut at SUPPORT_TOL of the largest coefficient, so L bounds
@@ -216,14 +287,16 @@ def _read_certificate(rotated: np.ndarray, e: float, lower: float, floor: float,
     if face.bound <= floor + ENERGY_TOL:
         return lower, None, None
     if len(face.active) < len(face.result.coefficients):
-        nu = StructureTensor(np.where(face.keep, rotated, 0.0))
-        report = soliton_check(nu)
-        if abs(report.energy - lower) <= ENERGY_TOL and report.is_soliton and face.exponents is not None:
-            return lower, "certificate", (nu.table / nu.norm, DegenerationCurve(tuple(-x for x in face.exponents)))
+        nu = np.where(face.keep, rotated, 0.0)
+        moment = _energy_moment(nu)
+        if abs(moment[0] - lower) <= ENERGY_TOL and face.exponents is not None and _is_soliton(nu, *moment):
+            curve = DegenerationCurve(tuple(-x for x in face.exponents))
+            return lower, "certificate", (nu / math.sqrt(moment[2]), curve, None)
     elif can_move:
         moved = _balance(rotated, face)
-        if abs(_energy_moment(moved)[0] - lower) <= ENERGY_TOL and soliton_check(StructureTensor(moved)).is_soliton:
-            return lower, "certificate", (moved, None)
+        moment = _energy_moment(moved)
+        if abs(moment[0] - lower) <= ENERGY_TOL and _is_soliton(moved, *moment):
+            return lower, "certificate", (moved, None, moment)
     return lower, None, None
 
 
@@ -240,28 +313,36 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     trajectory never leaves the orbit (untying it from the measure-zero stable manifolds a
     plain Euler step falls off).
 
-    The iterate is held in the eigenframe of its direction A = (4/||t||^2)
-    (m + E I), where exp(-s A) is diagonal: each backtracking candidate is
-    one elementwise scaling by exp(s lam) (see _weight_sums), a
-    renormalization and the moment table, and the gradient norm is
-    ||lam * t||.  An accepted step takes one eigh of the candidate's m, one
-    rotation into the new frame and one n x n product onto the accumulated
-    unitary frame, which takes the terminal (or nu) back to mu's basis once,
-    at the stop.  A start with no imaginary part flows in float64.
+    On a gradient step the iterate is held in the eigenframe of its
+    direction A = (4/||t||^2) (m + E I), where exp(-s A) is diagonal: each
+    backtracking candidate is one elementwise scaling by exp(s lam) (see
+    _weight_sums), a renormalization and the moment table, and the gradient
+    norm is ||lam * t||.  An accepted step takes one eigh of the candidate's
+    m, one rotation into the new frame and one n x n product onto the
+    accumulated unitary frame, which takes the terminal (or nu) back to mu's
+    basis once, at the stop.  A start with no imaginary part flows in
+    float64.
 
-    The step size starts at STEP0 and is capped by MAX_LOG_STRETCH.  After
-    an accepted step of size s from E to E' at gradient norm g, it is set by
-    whether the flow can fall, that is leave the orbit of mu by roundoff and
-    end below its stratum energy.  A step cannot fall when the start lies in
-    the lowest stratum: it is Jordan and semisimple (see certificate below),
-    so no energy lies below its stratum energy 1/n.  Semisimplicity is
-    first asked at the first accepted step and kept on mu, so a flow that
-    ends at step 0 never asks.  Such a step multiplies s by STEP_UP when
-    E - E' > DECREASE_RATIO s g^2 and by STEP_DOWN otherwise.  On a
-    quadratic of curvature h the ratio (E - E')/(s g^2) is 1 - s h/2, which
-    is at least 1/2 exactly when s <= 1/h, so s stays near 1/h without
-    oscillating.  Every other step multiplies s by 1.1: faster growth there
-    lets roundoff carry more non-semisimple flows off their orbit.
+    Steps are set by whether the flow can fall, that is leave the orbit of
+    mu by roundoff and end below its stratum energy.  A step cannot fall
+    when the start lies in the lowest stratum: it is Jordan and semisimple
+    (see certificate below), so no energy lies below its stratum energy
+    1/n.  This is decided once, before the first step, for a flow that gets
+    past the step-0 read, and semisimplicity is kept on mu.  Such a flow
+    takes Newton steps: its soliton is the minimal vector of a closed orbit,
+    which minimizes the geodesically convex log ||exp(X) . t||^2
+    (Kempf-Ness), and each step goes along exp(-s D), D = -X for Newton's X
+    there (_newton_direction, on the closed-form Gram of _gram).  The
+    iterate is rotated into D's eigenframe, where the candidates are the
+    same elementwise scalings.  s starts at 1, halves on an Armijo failure
+    against the energy's descent rate Re a^H G d (see _gradient_gram) and,
+    when the unit step removed less than half of E - 1/n, doubles while E
+    falls.  A D that does not descend is replaced, for that step, by the
+    gradient direction A, and the gradient norm is read as sqrt(a^H G a).
+    Every other step is a gradient step: s starts at STEP0 and grows by 1.1
+    after each accepted step, since faster growth lets roundoff carry more
+    non-semisimple flows off their orbit.  Every step size is capped by
+    MAX_LOG_STRETCH.
     Convergence is reported through stop_reason:
 
     - gradient: the gradient norm reached grad_tol;
@@ -301,10 +382,11 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
       itself certifies a start that is Jordan (algebra.is_jordan, decided
       at the start, where a non-Jordan start is warned about) and
       semisimple, whose stratum energy is 1/n: the first accepted step
-      with E - 1/n <= ENERGY_TOL stops there, unless the plateau or the
-      gradient stop fires on it.  Semisimplicity is Albert's criterion, a
-      trace form of full rank (algebra.is_semisimple: one n x n SVD of
-      mu, run at most once per flow, as the step rule above asks).  A
+      with E - 1/n <= ENERGY_TOL stops there, unless the plateau stop
+      fires on it; the floor is tested before the gradient stop.
+      Semisimplicity is Albert's criterion, a trace form of full rank
+      (algebra.is_semisimple: one n x n SVD of mu, run at most once per
+      flow, as the step rule above asks).  A
       non-semisimple start keeps its old stop there: its stratum energy
       lies above the floor (as for all 90
       non-semisimple catalog entries), so it reached the floor by a fall;
@@ -344,50 +426,76 @@ def run_flow(mu: StructureTensor, opts: FlowOptions = FlowOptions()) -> FlowTrac
     lower, stop_reason, move = _read_certificate(t, e, -math.inf, floor, opts.max_steps > 0)
     if grad_norms[0] <= opts.grad_tol:
         stop_reason, move = "gradient", None
+    # a Jordan semisimple start lies in the lowest stratum, of energy 1/n: its steps cannot fall
+    lowest = stop_reason is None and jordan and is_semisimple(mu)
+    if lowest:   # m is read again in the frame t was rotated into
+        m = _energy_moment(t)[1]
+        gram, a, ga = _gradient_gram(t, e, m, n2)
     while stop_reason is None:
         if steps_taken >= opts.max_steps:
             stop_reason = "max_steps"
             break
-        gn = grad_norms[-1]
+        if lowest:   # a Newton step, in the frame of its direction
+            direction = _newton_direction(m, gram)
+            rate = float(np.vdot(direction, ga).real)   # Re a^H G d, the energy's rate of descent along exp(-s D)
+            if not rate > 0:   # D does not descend: take the gradient direction A
+                direction, rate = a.reshape(m.shape), grad_norms[-1] ** 2
+            rates, vecs = np.linalg.eigh(direction)
+            t, frame = _unitary_act_table(t, vecs.conj().T), frame @ vecs
+            lam = _weight_sums(rates)
+            step = 1.0
+        else:
+            rate = grad_norms[-1] ** 2
         accepted = False
         spread = float(max(-rates[0], rates[-1])) or 1.0   # rates ascend, so this is max |rates|
-        step = min(step, MAX_LOG_STRETCH / spread)
+        cap = MAX_LOG_STRETCH / spread
+        step = min(step, cap)
         while step > STEP_FLOOR:
             cand = t * np.exp(step * lam)
             cand = cand / _norm(cand)
             e2, m, n2 = _energy_moment(cand)
-            if e2 <= e - ARMIJO * step * gn * gn:
+            if e2 <= e - ARMIJO * step * rate:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             stop_reason = "line_search_floor"
             break
+        if lowest and step == 1.0 and e - e2 < 0.5 * (e - floor):
+            # the unit step removed less than half of E - 1/n: double it while E falls
+            while 2.0 * step <= cap:
+                longer = t * np.exp(2.0 * step * lam)
+                longer = longer / _norm(longer)
+                e3, m3, n23 = _energy_moment(longer)
+                if not e3 < e2:
+                    break
+                cand, e2, m, n2, step = longer, e3, m3, n23, 2.0 * step
         plateau = plateau + 1 if abs(e - e2) < ENERGY_TOL else 0
-        t, frame, rates = _eigenframe(cand, e2, m, n2, frame)
-        lam = _weight_sums(rates)
-        # a Jordan semisimple start lies in the lowest stratum, of energy 1/n
-        lowest = jordan and is_semisimple(mu)
-        if lowest:   # a step that cannot fall
-            step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
+        if lowest:
+            t = cand
+            gram, a, ga = _gradient_gram(t, e2, m, n2)
+            gn = math.sqrt(float(np.vdot(a, ga).real))
         else:
+            t, frame, rates = _eigenframe(cand, e2, m, n2, frame)
+            lam = _weight_sums(rates)
             step *= 1.1
+            gn = _norm(lam * t)
         e = e2
         steps_taken += 1
         energies.append(e)
-        grad_norms.append(_norm(lam * t))
+        grad_norms.append(gn)
         if _is_power_of_two(steps_taken) or _is_power_of_two(plateau):
             lower, stop_reason, move = _read_certificate(t, e, lower, floor, steps_taken < opts.max_steps)
             if stop_reason is not None:
                 break
         if plateau >= PLATEAU_WINDOW:
             stop_reason = "plateau"
-        elif grad_norms[-1] <= opts.grad_tol:
-            stop_reason = "gradient"
         elif lowest and e - floor <= ENERGY_TOL:
             stop_reason = "certificate"
+        elif gn <= opts.grad_tol:
+            stop_reason = "gradient"
     if move is not None and move[1] is None:   # a balancing move, taken as one more accepted step
-        e, m, n2 = _energy_moment(move[0])
+        e, m, n2 = move[2]
         t, frame, rates = _eigenframe(move[0], e, m, n2, frame)
         steps_taken += 1
         energies.append(e)

@@ -1,6 +1,8 @@
-"""The acceptance rule of tools/bench_pairs.py, on synthetic paired runs."""
+"""The acceptance rule of tools/bench_pairs.py, on synthetic paired runs, and its export of the change."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,22 @@ def test_unpaired_runs_are_refused():
         judge(PARENT, PARENT[:9], 0.1)
     with pytest.raises(ValueError):
         judge([1.0], [0.5], 0.1)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_change_is_exported_with_its_uncommitted_edits(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "export"
+    (repo / "src").mkdir(parents=True)
+    dest.mkdir()
+    (repo / "src" / "kept.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run(git + ["init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "."], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "start"], cwd=repo, check=True)
+    (repo / "src" / "kept.py").write_text("x = 2\n")      # edited, not committed
+    (repo / "gone.py").unlink()                            # deleted, not committed
+    (repo / "untracked.py").write_text("z = 1\n")         # never added
+    bench_pairs._export_worktree(repo, dest)
+    assert (dest / "src" / "kept.py").read_text() == "x = 2\n"
+    assert sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()) == ["src/kept.py"]

@@ -43,10 +43,10 @@ from jordanflow.algebra import (
     _soliton_table,
 )
 from jordanflow.catalog import builtin, names
-from jordanflow.flow import (ARMIJO, DECREASE_RATIO, ENERGY_TOL, MAX_LOG_STRETCH, STEP0, STEP_DOWN, STEP_FLOOR,
-                             STEP_UP, FlowOptions, run_flow, _norm, _weight_sums)
+from jordanflow.flow import (ARMIJO, ENERGY_TOL, MAX_LOG_STRETCH, NEWTON_RIDGE, STEP0, STEP_FLOOR, FlowOptions,
+                             run_flow, _gram, _newton_direction, _norm, _weight_sums)
 from jordanflow.moment import energy, energy_gradient, moment_map, moment_matrix, soliton_check, soliton_type
-from jordanflow.sampling import random_group_element, random_symmetric_tensor, random_unitary
+from jordanflow.sampling import random_group_element, random_hermitian, random_symmetric_tensor, random_unitary
 
 REL = 1e-12
 KERNEL_CASES = settings(max_examples=60, deadline=None, database=None)
@@ -199,8 +199,18 @@ def energy_direction(x):
     return e, direction, norm(ref_inf_act(direction, x))
 
 
+def orbit_step(t, direction, step):
+    """exp(-step D) . t for a Hermitian D, in t's basis, at unit norm, with the eigendecomposition of D."""
+    evals, vecs = np.linalg.eigh(direction)
+    g = vecs @ np.diag(np.exp(-step * evals)) @ vecs.conj().T
+    h = vecs @ np.diag(np.exp(step * evals)) @ vecs.conj().T
+    cand = ref_act(t, h, g)
+    cand = 0.5 * (cand + np.swapaxes(cand, 0, 1))
+    return cand / np.linalg.norm(cand)
+
+
 def einsum_flow_step(t, step):
-    """One accepted step of the flow with the einsum kernels and the eigendecomposition per candidate.
+    """One accepted gradient step of the flow with the einsum kernels and the eigendecomposition per candidate.
 
     Returns the unit-norm step, its energy and the step size accepted.
     """
@@ -209,12 +219,7 @@ def einsum_flow_step(t, step):
     e, direction, gn = energy_direction(t)
     step = min(step, MAX_LOG_STRETCH / float(np.max(np.abs(np.linalg.eigvalsh(direction)))))
     while step > STEP_FLOOR:
-        evals, vecs = np.linalg.eigh(direction)
-        g = vecs @ np.diag(np.exp(-step * evals)) @ vecs.conj().T
-        h = vecs @ np.diag(np.exp(step * evals)) @ vecs.conj().T
-        cand = ref_act(t, h, g)
-        cand = 0.5 * (cand + np.swapaxes(cand, 0, 1))
-        cand = cand / np.linalg.norm(cand)
+        cand = orbit_step(t, direction, step)
         e2 = energy_direction(cand)[0]
         if e2 <= e - ARMIJO * step * gn * gn:
             return cand, e2, step
@@ -222,13 +227,103 @@ def einsum_flow_step(t, step):
     raise AssertionError("no descent above STEP_FLOOR")
 
 
+def hermitian_gram(t):
+    """P^H P for the operator matrix P of A -> A . t, averaged with its image under x -> transpose(conj x)."""
+    n = t.shape[0]
+    p = _operator_matrix(t)
+    g = (p.conj().T @ p).reshape((n,) * 4)
+    return (0.5 * (g + g.transpose(1, 0, 3, 2).conj())).reshape(n * n, n * n)
+
+
+def einsum_newton_step(t):
+    """One accepted step of a lowest-stratum flow with G = P^H P, a bordered solve and the einsum kernels.
+
+    D = -X for Newton's traceless Hermitian X, the minimizer of
+    2 tr(X m) + 2 ||X . t||^2; the gradient direction A replaces it when it
+    does not descend.  The step starts at 1, halves on an Armijo failure and,
+    when the unit step removed less than half of E - 1/n, doubles while E
+    falls.  Returns the unit-norm step, its energy and the step size.
+    """
+    n = t.shape[0]
+    k = n * n
+    t = t / np.linalg.norm(t)
+    e, a, _ = energy_direction(t)
+    m = ref_moment(t)
+    gram = hermitian_gram(t)
+    bordered = np.zeros((k + 1, k + 1), dtype=complex)
+    bordered[:k, :k] = gram + NEWTON_RIDGE * np.trace(gram).real / k * np.eye(k)
+    bordered[:k, k] = bordered[k, :k] = np.eye(n).ravel()
+    d = np.linalg.solve(bordered, np.append(0.5 * m.ravel(), 0.0))[:k].reshape(n, n)
+    d = 0.5 * (d + d.conj().T)
+    rate = float(np.vdot(a.ravel(), gram @ d.ravel()).real)
+    if not rate > 0:
+        d, rate = a, float(np.vdot(a.ravel(), gram @ a.ravel()).real)
+    cap = MAX_LOG_STRETCH / float(np.max(np.abs(np.linalg.eigvalsh(d))))
+    step = min(1.0, cap)
+    while step > STEP_FLOOR:
+        cand = orbit_step(t, d, step)
+        e2 = energy_direction(cand)[0]
+        if e2 <= e - ARMIJO * step * rate:
+            break
+        step *= 0.5
+    else:
+        raise AssertionError("no descent above STEP_FLOOR")
+    if step == 1.0 and e - e2 < 0.5 * (e - 1.0 / n):
+        while 2.0 * step <= cap:
+            longer = orbit_step(t, d, 2.0 * step)
+            e3 = energy_direction(longer)[0]
+            if not e3 < e2:
+                break
+            cand, e2, step = longer, e3, 2.0 * step
+    return cand, e2, step
+
+
+@KERNEL_CASES
+@given(n=dims, seed=seeds, real=st.booleans())
+def test_gram_matches_the_operator_matrix(n, seed, real):
+    """_gram's closed form against P^H P, and x^H G x = ||X . t||^2 on a Hermitian X."""
+    rng = np.random.default_rng(seed)
+    t = random_symmetric_tensor(rng, n).table
+    if real:
+        t = t.real
+    gram, ref = _gram(t), hermitian_gram(t)
+    assert gram.dtype == (float if real else complex)
+    assert norm(gram - ref) <= 1e-13 * norm(ref)
+    x = random_hermitian(rng, n)
+    quad = np.vdot(x.ravel(), gram @ x.ravel())
+    assert quad.real == pytest.approx(norm(_inf_act_table(x, t)) ** 2, rel=1e-12)
+    assert abs(quad.imag) <= 1e-12 * abs(quad.real)
+
+
+@KERNEL_CASES
+@given(name=catalog_names, seed=seeds, real=st.booleans())
+def test_newton_direction_is_traceless_hermitian_and_stationary(name, seed, real):
+    """D = -X is Hermitian, traceless and solves the Newton condition: G d - vec(m)/2 is a multiple of vec(I)."""
+    mu = builtin(name).tensor
+    g = random_group_element(np.random.default_rng(seed), mu.dim, cond_max=10)
+    t = act(g.real if real else g, mu).table
+    t = t / np.linalg.norm(t)
+    m = ref_moment(t)
+    gram = _gram(t)
+    d = _newton_direction(m, gram)
+    assert np.array_equal(d, d.conj().T)
+    assert abs(np.trace(d)) <= 1e-12 * max(norm(d), 1.0)
+    residual = (gram @ d.ravel()).reshape(d.shape) - 0.5 * m
+    traceless = residual - np.trace(residual) / mu.dim * np.eye(mu.dim)
+    assert norm(traceless) <= 1e-9 * max(norm(m), 1.0)
+
+
 @pytest.mark.parametrize("name, n", [("A_3_2", 3), ("A_4_20", 4)])
 def test_one_flow_step_matches_einsum_step(name, n):
+    # A_3_2 is semisimple, so its generic start takes a Newton step; A_4_20's takes a gradient step
     g = random_group_element(np.random.default_rng(5), n, cond_max=10)
     start = act(g, builtin(name).tensor)
     trace = run_flow(start, FlowOptions(max_steps=1))
     assert trace.steps_taken == 1
-    ref_table, ref_energy, _ = einsum_flow_step(start.table, STEP0)
+    if builtin(name).flags.semisimple:
+        ref_table, ref_energy, _ = einsum_newton_step(start.table)
+    else:
+        ref_table, ref_energy, _ = einsum_flow_step(start.table, STEP0)
     assert norm(trace.terminal.table - ref_table) <= 1e-12
     assert trace.energies[1] == pytest.approx(ref_energy, rel=1e-12)
 
@@ -245,16 +340,19 @@ def test_one_flow_step_matches_einsum_step(name, n):
 @example(n=4, seed=0, real=True, k=4, name="A_4_53", tie=False, generic=False)   # diagonal by cancellation
 # a torus start of a non-semisimple entry that cannot balance (affinely dependent weights): steps grow by 1.1
 @example(n=4, seed=0, real=True, k=4, name="A_4_61", tie=False, generic=False)
+# Newton steps: the A_4_2 torus starts above keep Hermitian derivations, so G is singular without NEWTON_RIDGE
+@example(n=3, seed=1, real=False, k=4, name="A_3_2", tie=False, generic=False)
 @pytest.mark.filterwarnings("ignore:flow started from a non-Jordan tensor")
 def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
     """k steps of the eigenframe loop against k einsum steps, from real and complex starts; the einsum
-    step acts by exp(-s A) in the start's basis.  With a catalog name the start is a torus start
+    step acts by exp(-s D) in the start's basis.  With a catalog name the start is a torus start
     diag(e^u) . mu; a complex one is its copy times e^{0.7 i}.  A torus start of a semisimple entry
-    lies in the lowest stratum and cannot fall, so the step follows the decrease-ratio rule.  Torus
-    starts of the other entries, random symmetric starts (not Jordan) and generic starts g . mu of
-    non-semisimple entries can fall, so their step grows by 1.1.  A start whose Wolfe face
-    covers its support at step 0 (most torus starts of non-semisimple entries, and a few generic
-    starts) balances onto its soliton in one move there, and has no steps to compare."""
+    lies in the lowest stratum and cannot fall, so it takes Newton steps (einsum_newton_step) and may
+    certify at the floor within k steps.  Torus starts of the other entries, random symmetric starts
+    (not Jordan) and generic starts g . mu of non-semisimple entries can fall, so they take gradient
+    steps that grow by 1.1.  A start whose Wolfe face covers its support at step 0 (most torus starts
+    of non-semisimple entries, and a few generic starts) balances onto its soliton in one move there,
+    and has no steps to compare."""
     rng = np.random.default_rng(seed)
     if name is None:
         start = random_symmetric_tensor(rng, n)
@@ -278,6 +376,18 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
         assert trace.stop_reason == "gradient" and trace.steps_taken == 0
         assert norm(trace.terminal.table - start.table / start.norm) <= REL
         return
+    if lowest:
+        assert trace.stop_reason in ("certificate", "max_steps") and trace.witness is None
+        t = start.table
+        for i in range(1, trace.steps_taken + 1):
+            t, e2, _ = einsum_newton_step(t)
+            assert trace.energies[i] == pytest.approx(e2, rel=REL)
+        assert norm(trace.terminal.table - t) <= REL
+        if trace.stop_reason == "certificate":
+            assert trace.energies[-1] - 1.0 / start.dim <= ENERGY_TOL
+        else:
+            assert trace.steps_taken == k
+        return
     if trace.stop_reason == "certificate":
         assert trace.steps_taken == 1 and trace.witness is None
         assert abs(trace.energies[1] - trace.lower_bound) <= ENERGY_TOL
@@ -286,13 +396,9 @@ def test_flow_matches_einsum_steps(n, seed, real, k, name, tie, generic):
     assert trace.stop_reason == "max_steps" and trace.steps_taken == k
     t, step = start.table, STEP0
     for i in range(1, k + 1):
-        e, _, gn = energy_direction(t / np.linalg.norm(t))
         t, e2, step = einsum_flow_step(t, step)
         assert trace.energies[i] == pytest.approx(e2, rel=REL)
-        if lowest:
-            step *= STEP_UP if e - e2 > DECREASE_RATIO * step * gn * gn else STEP_DOWN
-        else:
-            step *= 1.1
+        step *= 1.1
     assert norm(trace.terminal.table - t) <= REL
 
 

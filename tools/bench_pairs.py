@@ -3,9 +3,12 @@
 usage: python3 tools/bench_pairs.py --parent REV --out BENCH_7.json
 
 It runs tables, flows and classify on seed 0, ten pairs each, and flows on
-seed 1, three pairs, each run as long as perfbench/run.py's default.  The
-parent is exported with `git archive` into a temporary directory; the
-change is this checkout as it stands.  Every pair runs perfbench/run.py once on each side
+seed 1, three pairs, each run as long as perfbench/run.py's default.  Both
+sides run from fresh copies in a temporary directory, so where a side runs
+cannot tell them apart: the parent is exported with `git archive`, and the
+change is the tracked files of this checkout as they stand, uncommitted
+edits included.  The copies, and the span files the traced runs write into
+them, are deleted at the end.  Every pair runs perfbench/run.py once on each side
 with the same settings, and the side that runs first alternates from pair
 to pair.  For each end-to-end metric the record holds every run, each
 side's median and quartiles, the change's relative difference in the
@@ -28,6 +31,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +52,15 @@ def _git(*args: str) -> str:
 def _export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _export_worktree(root: Path, dest: Path) -> None:
+    """Copy the tracked files of the checkout at root as they stand, uncommitted edits included, into dest."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True, capture_output=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        if (root / name).is_file():   # a tracked file deleted from the working tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def _run(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -158,8 +171,11 @@ def main() -> int:
         "workloads": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(tmp), "change": ROOT}
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for root in sides.values():
+            root.mkdir()
         _export(args.parent, sides["parent"])
+        _export_worktree(ROOT, sides["change"])
         for name, seed, pairs in WORKLOADS:
             entry = _compare(name, seed, pairs, sides)
             entry["traced_counts"] = _traced_counts(name, seed, sides)
